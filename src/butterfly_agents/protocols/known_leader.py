@@ -77,7 +77,6 @@ class KnownLeaderProgram(AgentProgram):
     def __init__(self, leader_id: int):
         self.leader_id = leader_id
         self.assigned_round: dict[int, int] = {}
-        self.completion_round: int | None = None
         self.scratch_widths = {}
 
     def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
@@ -196,7 +195,6 @@ class KnownLeaderProgram(AgentProgram):
                 if not state.completion:
                     state.completion = True
                     state.dirty = True
-                    self.completion_round = view.round
                 state.wake_round = NEVER
                 return None
             state.wake_round = NEVER

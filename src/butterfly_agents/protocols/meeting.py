@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..runtime import (
+    NEVER,
     AgentProgram,
     AgentState,
     RunContext,
@@ -158,7 +159,7 @@ class MeetingWindowProgram(AgentProgram):
                 s.wake_round = self._next_move(s.id, 0)
             else:
                 s.phase_state["finished"] = True  # pure host
-                s.wake_round = 1 << 62
+                s.wake_round = NEVER
             s.dirty = True
 
     def _next_move(self, agent_id: int, rnd: int) -> int:
@@ -169,7 +170,7 @@ class MeetingWindowProgram(AgentProgram):
             if sched[r % self.window] == "out":
                 return r
             r += 1
-        return 1 << 62
+        return NEVER
 
     def step(self, state: AgentState, view: StepView) -> int | None:
         ps = state.phase_state
@@ -179,7 +180,7 @@ class MeetingWindowProgram(AgentProgram):
             if resident is not None:
                 self.meetings.append((view.round, state.id, resident.id))
             nxt = self._next_move(state.id, view.round + 1)
-            if nxt >= 1 << 62:
+            if nxt >= NEVER:
                 ps["finished"] = True
                 state.dirty = True
             state.wake_round = nxt
@@ -191,7 +192,7 @@ class MeetingWindowProgram(AgentProgram):
                 return ps["target"]
             state.wake_round = self._next_move(state.id, view.round + 1)
         else:
-            state.wake_round = 1 << 62
+            state.wake_round = NEVER
         return None
 
     def local_done(self, state: AgentState) -> bool:

@@ -20,6 +20,17 @@ To keep long runs cheap the engine maintains a wake queue: a program sets
 earlier only if other agents stand at its node at the start of a round.
 Sleeping agents stay put by definition, so skipping their steps is
 behavior-preserving (exercised by an always-step equivalence test).
+
+Per-round cost model.  Host work in a round is proportional to the agents
+stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
+a trace is recorded.  Bit widths (id, port, degree and every declared
+scratch key) are resolved into one int table per run, after ``on_start``,
+so a dirty step's accounting is a table lookup per live scratch key.  Each
+crowded node's snapshot tuple is built once per round, in ascending id
+order, and every agent there gets that tuple with itself sliced out.
+Snapshots are round-start copies: the neighbor table and scratch are
+copied when the round starts, so nothing an agent writes during its step
+is visible to another agent before the next round.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping, NamedTuple
 
 __all__ = [
     "IllegalPort",
@@ -96,8 +107,7 @@ class AgentState:
         return self.current_node == self.home_node
 
 
-@dataclass(frozen=True, slots=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """Round-start view of an agent, as co-located agents see it."""
 
     id: int
@@ -117,24 +127,23 @@ class Snapshot:
 
 def _snapshot(state: AgentState) -> Snapshot:
     return Snapshot(
-        id=state.id,
-        at_home=state.at_home,
-        entered_port=state.entered_port,
-        partition=state.partition,
-        parent=state.parent,
-        child=state.child,
-        sibling=state.sibling,
-        nextport=state.nextport,
-        completion=state.completion,
-        treelabel=state.treelabel,
-        leader=state.leader,
-        neighbor_list=tuple(state.neighbor_list),
-        scratch=dict(state.phase_state),
+        state.id,
+        state.current_node == state.home_node,
+        state.entered_port,
+        state.partition,
+        state.parent,
+        state.child,
+        state.sibling,
+        state.nextport,
+        state.completion,
+        state.treelabel,
+        state.leader,
+        tuple(state.neighbor_list),
+        dict(state.phase_state),
     )
 
 
-@dataclass(frozen=True, slots=True)
-class StepView:
+class StepView(NamedTuple):
     """What one agent gets to see during its Compute stage."""
 
     round: int
@@ -232,6 +241,44 @@ def _degree_bits(delta: int) -> int:
     return math.ceil(math.log2(delta + 1)) if delta > 0 else 0
 
 
+class _Widths(NamedTuple):
+    """Every bit width one run needs, resolved from (lam, delta, declarations)."""
+
+    fixed: int  # id, treelabel, the four port variables and the flag fields
+    entry: int  # one neighbor-table or counter-map entry
+    scratch: dict[str, int]  # declared phase_state key -> bits
+
+
+def _resolve_widths(
+    lam: int, delta: int, scratch_widths: Mapping[str, Any] | None
+) -> _Widths:
+    lw = id_bits(lam)
+    pw = port_bits(delta)
+    dw = _degree_bits(delta)
+    kinds = {
+        "bool": 1,
+        "port": pw,
+        "deg": dw,
+        "id": lw,
+        "meet": lw + pw,  # active meeting-schedule scratch plus its target
+    }
+    scratch = {
+        key: kinds[spec] if spec in kinds else int(spec)
+        for key, spec in (scratch_widths or {}).items()
+    }
+    # id, treelabel; parent, child, sibling, nextport; completion, leader,
+    # partition (assigned flag + side)
+    return _Widths(2 * lw + 4 * pw + 1 + 1 + 2, lw + dw, scratch)
+
+
+def _memory_bits(state: AgentState, widths: _Widths) -> int:
+    scratch = widths.scratch
+    bits = widths.fixed + widths.entry * (len(state.neighbor_list) + len(state.counters))
+    for key in state.phase_state:
+        bits += scratch.get(key, 0)
+    return bits
+
+
 def account_memory(
     state: AgentState,
     lam: int,
@@ -243,34 +290,13 @@ def account_memory(
     id and treelabel always cost one id width each; the four port variables
     (parent, child, sibling, nextport) one port width each; booleans one
     bit; partition two bits (assigned flag + side).  Scratch keys cost what
-    the program declared; a key absent from ``phase_state`` is not live and
-    costs nothing.  The neighbor table costs one (id + degree) width per
-    entry and counter maps one (id + counter) width per entry.
+    the program declared, and a live key it never declared costs nothing; a
+    key absent from ``phase_state`` is not live and costs nothing.  The
+    neighbor table costs one (id + degree) width per entry and counter maps
+    one (id + counter) width per entry.  The engine resolves the same
+    widths once per run and applies them to every dirty step.
     """
-    lw = id_bits(lam)
-    pw = port_bits(delta)
-    dw = _degree_bits(delta)
-    bits = 2 * lw  # id, treelabel
-    bits += 4 * pw  # parent, child, sibling, nextport
-    bits += 1 + 1 + 2  # completion, leader, partition
-    widths = scratch_widths or {}
-    for key in state.phase_state:
-        spec = widths.get(key, 0)
-        if spec == "bool":
-            bits += 1
-        elif spec == "port":
-            bits += pw
-        elif spec == "deg":
-            bits += dw
-        elif spec == "id":
-            bits += lw
-        elif spec == "meet":
-            bits += lw + pw  # active meeting-schedule scratch plus its target
-        else:
-            bits += int(spec)
-    bits += len(state.neighbor_list) * (lw + dw)
-    bits += len(state.counters) * (lw + dw)
-    return bits
+    return _memory_bits(state, _resolve_widths(lam, delta, scratch_widths))
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +407,43 @@ def run(
     if max_rounds is None:
         max_rounds = default_max_rounds(n, lam)
     delta = graph.max_degree
+    adjacency = graph.adjacency
+    degree = graph.degrees
 
     ctx = RunContext(
         lam=lam,
         id_width=id_bits(lam),
         max_degree=delta,
-        degrees=tuple(graph.degree(s.home_node) for s in states),
+        degrees=tuple(degree[s.home_node] for s in states),
     )
     program.on_start(states, ctx)
-    widths = program.scratch_widths  # programs may pin exact widths in on_start
+    # programs may pin exact widths in on_start
+    widths = _resolve_widths(lam, delta, program.scratch_widths)
+    step = program.step
+    local_done = program.local_done
 
+    # The engine names agents by rank: position in ascending id order.
     by_id = sorted(states, key=lambda s: s.id)
-    index_of = {s.id: i for i, s in enumerate(states)}
 
     peak: dict[int, int] = {}
     for s in states:
-        peak[s.id] = account_memory(s, lam, delta, widths)
+        peak[s.id] = _memory_bits(s, widths)
         s.dirty = False
 
-    occupants: dict[int, list[AgentState]] = {}
-    for s in states:
-        occupants.setdefault(s.current_node, []).append(s)
+    occupants: dict[int, list[int]] = {}  # node -> ranks standing there
+    for r, s in enumerate(by_id):
+        occupants.setdefault(s.current_node, []).append(r)
     crowded: set[int] = {node for node, occ in occupants.items() if len(occ) > 1}
 
-    done = [program.local_done(s) for s in states]
+    done = [local_done(s) for s in by_id]
     undone = sum(1 for d in done if not d)
 
-    wake_heap: list[tuple[int, int]] = []
-    for s in by_id:
-        if s.wake_round < NEVER:
-            heapq.heappush(wake_heap, (s.wake_round, s.id))
+    wake_heap: list[tuple[int, int]] = [
+        (s.wake_round, r) for r, s in enumerate(by_id) if s.wake_round < NEVER
+    ]
+    heapq.heapify(wake_heap)
+    heappop = heapq.heappop
+    heappush = heapq.heappush
 
     trace: list[TraceEvent] | None = [] if record_trace else None
     comms: list[tuple[int, int, int]] | None = [] if record_comms else None
@@ -424,10 +457,10 @@ def run(
 
         # Who needs a step this round?
         if always_step:
-            active = list(by_id)
+            active = range(n)
         else:
             while wake_heap and wake_heap[0][0] < rnd:
-                heapq.heappop(wake_heap)  # stale entries
+                heappop(wake_heap)  # stale entries
             due_now = wake_heap and wake_heap[0][0] == rnd
             if not due_now and not crowded:
                 # Nothing due and nobody co-located: fast-forward.
@@ -441,93 +474,91 @@ def run(
                         f"{program.name}: no termination within {max_rounds} rounds"
                     )
                 if trace is not None:
+                    here = [(s.id, s.current_node) for s in by_id]
                     for r in range(rnd, skip_to):
-                        for s in by_id:
-                            trace.append((r, s.id, s.current_node, "stay", None))
+                        trace.extend((r, a, v, "stay", None) for a, v in here)
                 rnd = skip_to
-            active_ids: set[int] = set()
+            due: set[int] = set()
             while wake_heap and wake_heap[0][0] == rnd:
-                _, agent_id = heapq.heappop(wake_heap)
-                state = states[index_of[agent_id]]
-                if state.wake_round == rnd:
-                    active_ids.add(agent_id)
+                r = heappop(wake_heap)[1]
+                if by_id[r].wake_round == rnd:
+                    due.add(r)
             for node in crowded:
-                for s in occupants[node]:
-                    active_ids.add(s.id)
-            active = [states[index_of[i]] for i in sorted(active_ids)]
+                due.update(occupants[node])
+            active = sorted(due)
 
-        # Communicate: round-start snapshots at crowded nodes only.
-        snaps: dict[int, list[Snapshot]] = {}
+        # Communicate: one round-start snapshot tuple per crowded node; each
+        # agent there sees it with itself sliced out.
+        colocated_of: dict[int, tuple[Snapshot, ...]] = {}
         for node in crowded:
-            snaps[node] = [_snapshot(s) for s in sorted(occupants[node], key=lambda s: s.id)]
+            crowd = sorted(occupants[node])
+            snaps = tuple([_snapshot(by_id[r]) for r in crowd])
+            for k, r in enumerate(crowd):
+                colocated_of[r] = snaps[:k] + snaps[k + 1:]
 
-        moves: list[tuple[AgentState, int]] = []
-        stepped: list[AgentState] = []
-        for state in active:
+        moves: list[tuple[int, int]] = []  # (rank, port)
+        for r in active:
+            state = by_id[r]
             node = state.current_node
-            here = snaps.get(node, ())
-            colocated = tuple(s for s in here if s.id != state.id)
+            colocated = colocated_of.get(r, ())
             if comms is not None:
                 for other in colocated:
                     comms.append((rnd, state.id, other.id))
-            view = StepView(
-                round=rnd,
-                at_home=state.at_home,
-                entered_port=state.entered_port,
-                degree_here=graph.degree(node),
-                colocated=colocated,
-            )
+            deg = degree[node]
             state.wake_round = rnd + 1  # default; programs override
-            action = program.step(state, view)
-            stepped.append(state)
+            action = step(
+                state,
+                StepView(rnd, node == state.home_node, state.entered_port, deg, colocated),
+            )
             if action is not None:
-                if not (0 <= action < graph.degree(node)):
+                if not (0 <= action < deg):
                     raise IllegalPort(
-                        f"agent {state.id} at a degree-{graph.degree(node)} node "
+                        f"agent {state.id} at a degree-{deg} node "
                         f"asked for port {action} in round {rnd}"
                     )
-                moves.append((state, action))
+                moves.append((r, action))
                 if trace is not None:
                     trace.append((rnd, state.id, node, "move", action))
             elif trace is not None:
                 trace.append((rnd, state.id, node, "stay", None))
-        if trace is not None:
-            quiet = {s.id for s in active}
-            for s in by_id:
-                if s.id not in quiet:
+        if trace is not None and not always_step:
+            stepped = set(active)
+            for r, s in enumerate(by_id):
+                if r not in stepped:
                     trace.append((rnd, s.id, s.current_node, "stay", None))
 
         # Move: simultaneous.
-        for state, port in moves:
+        for r, port in moves:
+            state = by_id[r]
             src = state.current_node
-            dest, back = graph.neighbor_via(src, port)
+            dest, back = adjacency[src][port]
             occ = occupants[src]
-            occ.remove(state)
+            occ.remove(r)
             if len(occ) <= 1:
                 crowded.discard(src)
             state.current_node = dest
             state.entered_port = back
             dest_occ = occupants.setdefault(dest, [])
-            dest_occ.append(state)
+            dest_occ.append(r)
             if len(dest_occ) > 1:
                 crowded.add(dest)
 
         # Bookkeeping for stepped agents.
-        for state in stepped:
+        for r in active:
+            state = by_id[r]
             if state.dirty:
-                bits = account_memory(state, lam, delta, widths)
+                bits = _memory_bits(state, widths)
                 if bits > peak[state.id]:
                     peak[state.id] = bits
                 state.dirty = False
-            was_done = done[index_of[state.id]]
-            is_done = program.local_done(state)
-            if is_done != was_done:
-                done[index_of[state.id]] = is_done
+            is_done = local_done(state)
+            if is_done != done[r]:
+                done[r] = is_done
                 undone += -1 if is_done else 1
             if state.wake_round <= rnd:  # "now" means next round
                 state.wake_round = rnd + 1
             if not always_step and state.wake_round < NEVER:
-                heapq.heappush(wake_heap, (state.wake_round, state.id))
+                heappush(wake_heap, (state.wake_round, r))
 
         rnd += 1
 
