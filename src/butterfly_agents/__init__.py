@@ -27,6 +27,7 @@ from .graphs import (
 )
 from .oracle import (
     NotBipartite,
+    OracleMismatch,
     check_spanning_tree,
     enumerate_butterflies,
     oracle_coloring,
@@ -54,6 +55,7 @@ __all__ = [
     "GraphFormatError",
     "IllegalPort",
     "NotBipartite",
+    "OracleMismatch",
     "PortGraph",
     "RoundLimitExceeded",
     "RunReport",

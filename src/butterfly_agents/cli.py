@@ -1,8 +1,9 @@
 """Command-line front end: run one protocol on one graph, or sweep sizes.
 
-Exit codes: 0 success, 1 verification mismatch, 2 bad configuration or
-unreadable input, 3 round budget exhausted.  Set BUTTERFLY_AGENTS_LOG to a
-level name (DEBUG, INFO, ...) to get progress logging on stderr.
+Exit codes: 0 success, 1 verification mismatch, 2 bad configuration,
+unreadable input, or a graph the agents find is not bipartite, 3 round
+budget exhausted.  Set BUTTERFLY_AGENTS_LOG to a level name (DEBUG,
+INFO, ...) to get progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .oracle import (
     oracle_per_node_butterflies,
     oracle_total_butterflies,
 )
-from .protocols.butterfly import count_butterflies
+from .protocols.butterfly import NotBipartiteSwarm, count_butterflies
 from .protocols.election import elect_leader_and_tree
 from .protocols.known_leader import known_leader_tree
 from .protocols.meeting import MeetingWindowProgram, window_length
@@ -417,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, NotBipartiteSwarm) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RoundLimitExceeded as exc:

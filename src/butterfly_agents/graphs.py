@@ -10,6 +10,7 @@ endpoint, and the pair must be mutually consistent: if port p at u leads to
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "make_path",
     "make_clique",
     "validate",
+    "unreachable_count",
     "load_graph",
     "save_graph",
 ]
@@ -188,14 +190,15 @@ def make_random_connected_bipartite(
     for i, j in present:
         root[find(i)] = find(a + j)
 
-    all_pairs = [(i, j) for i in range(a) for j in range(b)]
-    rng.shuffle(all_pairs)  # seeded ranking used by augmentation
+    # The augmentation ranking is a seeded shuffle of all a*b cross pairs,
+    # pair (i, j) stored as the int i * b + j: 8 bytes each, no tuple.
+    ranking = array("q", range(a * b))
+    rng.shuffle(ranking)
     components = len({find(x) for x in range(n)})
-    if components > 1 and len(present) == a * b:
-        raise AssertionError("complete bipartite graph cannot be disconnected")
-    for i, j in all_pairs:
+    for code in ranking:
         if components == 1:
             break
+        i, j = divmod(code, b)
         if (i, j) in present:
             continue
         ri, rj = find(i), find(a + j)
@@ -276,21 +279,28 @@ def validate(g: PortGraph) -> list[str]:
                     f"port inconsistency: {v}.{p} -> ({u}, {q}) but "
                     f"{u}.{q} -> ({back}, {back_port})"
                 )
-    if n > 0:
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u, _ in g.adjacency[v]:
-                if 0 <= u < n and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        if len(seen) != n:
-            problems.append(
-                f"graph is disconnected: {n - len(seen)} of {n} nodes "
-                f"unreachable from node 0"
-            )
+    missing = unreachable_count(g)
+    if missing:
+        problems.append(
+            f"graph is disconnected: {missing} of {n} nodes unreachable from node 0"
+        )
     return problems
+
+
+def unreachable_count(g: PortGraph) -> int:
+    """How many nodes cannot be reached from node 0; 0 for the empty graph."""
+    n = g.node_count
+    if n == 0:
+        return 0
+    seen = {0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for u, _ in g.adjacency[v]:
+            if 0 <= u < n and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return n - len(seen)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ..runtime import (
     RunReport,
     RunResult,
     SimConfig,
+    Snapshot,
     StepView,
     TraceEvent,
     id_bits,
@@ -50,6 +51,38 @@ def pair_butterflies(common: int) -> int:
 class OddButterflySum(RuntimeError):
     """Raised when the folded counts are odd -- every 4-cycle is seen twice,
     so an odd sum can only mean corrupted per-node values."""
+
+
+class NotBipartiteSwarm(RuntimeError):
+    """Raised when a scanning agent crosses an edge between two nodes of the
+    same side: the graph has an odd cycle, so no 2-coloring exists."""
+
+    def __init__(self, agent: int, port: int, round: int, found: str):
+        super().__init__(
+            f"agent {agent} went through port {port} and found {found} in "
+            f"round {round}: the graph has an odd cycle"
+        )
+        self.agent = agent
+        self.port = port
+        self.round = round
+
+
+def home_resident(state: AgentState, view: StepView, port: int) -> Snapshot:
+    """The resident a mover finds home behind ``port`` on its return round.
+
+    In a 2-colored swarm the host across any edge is on the other side and
+    never leaves home during a sweep.  Finding nobody home, or a resident
+    of the mover's own side, means the edge joins two same-side nodes.
+    """
+    for s in view.colocated:
+        if s.at_home:
+            if s.partition != state.partition:
+                return s
+            found = f"agent {s.id} of its own side at home"
+            break
+    else:
+        found = "nobody at home"
+    raise NotBipartiteSwarm(state.id, port, view.round, found)
 
 
 class NeighborScanProgram(AgentProgram):
@@ -91,7 +124,7 @@ class NeighborScanProgram(AgentProgram):
                 state.wake_round = view.round + 1
                 return k
             return None
-        resident = next(s for s in view.colocated if s.at_home)
+        resident = home_resident(state, view, k)
         state.neighbor_list.append((k, resident.id))
         if k + 1 < ps["mydeg"]:
             state.wake_round = view.round + 1
@@ -145,7 +178,7 @@ class WedgeCountProgram(AgentProgram):
                 state.wake_round = view.round + 1
                 return k
             return None
-        resident = next(s for s in view.colocated if s.at_home)
+        resident = home_resident(state, view, k)
         for _, aid in resident.neighbor_list:
             if aid != state.id:
                 state.counters[aid] = state.counters.get(aid, 0) + 1

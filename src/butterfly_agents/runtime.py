@@ -41,6 +41,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, NamedTuple
 
+from .graphs import unreachable_count
+
 __all__ = [
     "IllegalPort",
     "RoundLimitExceeded",
@@ -195,8 +197,17 @@ def place_dispersed(graph, ids: Iterable[int], lam: int | None = None) -> SimCon
     """Put agent ``ids[k]`` at node ``k``; one agent per node.
 
     ``lam`` is the ID bound shared by every agent; it defaults to
-    ``max(ids)`` and must not be smaller than that.
+    ``max(ids)`` and must not be smaller than that.  An empty or
+    disconnected graph raises ValueError here, before any round runs.
     """
+    if graph.node_count == 0:
+        raise ValueError("cannot place agents on an empty graph")
+    missing = unreachable_count(graph)
+    if missing:
+        raise ValueError(
+            f"graph is disconnected: {missing} of {graph.node_count} nodes "
+            f"unreachable from node 0; the protocols need a connected graph"
+        )
     ids = list(ids)
     if len(ids) != graph.node_count:
         raise ValueError(

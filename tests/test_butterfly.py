@@ -13,22 +13,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterfly_agents.graphs import (
+    build_port_graph,
+    make_clique,
     make_complete_bipartite,
     make_path,
     make_random_connected_bipartite,
 )
 from butterfly_agents.oracle import (
+    NotBipartite,
+    oracle_coloring,
     oracle_per_node_butterflies,
     oracle_total_butterflies,
 )
 from butterfly_agents.protocols.butterfly import (
+    NeighborScanProgram,
+    NotBipartiteSwarm,
     OddButterflySum,
+    WedgeCountProgram,
     count_butterflies,
     fold_and_halve,
     pair_butterflies,
 )
 from butterfly_agents.protocols.election import elect_leader_and_tree
-from butterfly_agents.runtime import place_dispersed
+from butterfly_agents.runtime import AgentState, StepView, _snapshot, place_dispersed
 
 
 def count_on(g, ids, **kw):
@@ -124,6 +131,39 @@ def test_tampered_fold_is_caught():
     # butterfly is counted once at each of its four corners
     with pytest.raises(OddButterflySum):
         fold_and_halve(g, cfg, election.tree, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8)
+
+
+def five_cycle():
+    return build_port_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+
+
+@pytest.mark.parametrize("make", [five_cycle, lambda: make_clique(4)], ids=["c5", "k4"])
+def test_odd_cycle_is_a_typed_scan_failure(make):
+    g = make()
+    with pytest.raises(NotBipartite):
+        oracle_coloring(g)
+    with pytest.raises(NotBipartiteSwarm, match="found nobody at home") as info:
+        count_on(g, list(range(g.node_count)))
+    err = info.value
+    assert 0 <= err.port < g.max_degree
+    assert err.round % 2 == 1  # the return round of the port's slot
+    assert err.agent in range(g.node_count)
+    assert f"agent {err.agent} went through port {err.port}" in str(err)
+
+
+@pytest.mark.parametrize("program", [NeighborScanProgram, WedgeCountProgram])
+def test_same_side_resident_is_a_typed_scan_failure(program):
+    # a mover that finds a resident of its own side at home must not log it
+    mover = AgentState(id=3, home_node=0, current_node=1, partition=0, entered_port=0)
+    mover.phase_state = {"mydeg": 2, "scan_done": False, "bfly": 0}
+    host = AgentState(id=5, home_node=1, current_node=1, partition=0)
+    host.neighbor_list = [(0, 3), (1, 8)]
+    view = StepView(round=1, at_home=False, entered_port=0, degree_here=2,
+                    colocated=(_snapshot(host),))
+    with pytest.raises(NotBipartiteSwarm, match="agent 5 of its own side") as info:
+        program(0).step(mover, view)
+    assert (info.value.agent, info.value.port, info.value.round) == (3, 0, 1)
+    assert mover.neighbor_list == [] and mover.counters == {}
 
 
 def test_pipeline_is_deterministic():

@@ -4,7 +4,7 @@ import csv
 import json
 
 from butterfly_agents import cli
-from butterfly_agents.graphs import make_complete_bipartite, save_graph
+from butterfly_agents.graphs import build_port_graph, make_complete_bipartite, save_graph
 
 
 def test_run_butterfly_with_verify_passes(capsys):
@@ -79,6 +79,19 @@ def test_bad_generator_is_a_config_error(capsys):
     assert cli.main(["run", "--gen", "donut", "3"]) == 2
     assert cli.main(["run"]) == 2  # neither --gen nor --graph
     assert cli.main(["run", "--gen", "path", "3", "--ids", "list:1,2"]) == 2
+
+
+def test_odd_cycle_is_a_config_error(capsys, monkeypatch):
+    rc = cli.main(["run", "--gen", "clique", "4", "--ids", "seq"])
+    assert rc == 2
+    assert "odd cycle" in capsys.readouterr().err
+    # no generator makes a 5-cycle, so hand the CLI one
+    c5 = build_port_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    monkeypatch.setattr(cli, "_build_graph", lambda args: (c5, None))
+    rc = cli.main(["run", "--gen", "c5", "--ids", "seq", "--verify"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: agent ") and "odd cycle" in err
 
 
 def test_round_budget_exit_code(capsys):

@@ -1,5 +1,7 @@
 """Graph construction, validation, and the text round-trip."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,26 @@ def test_load_rejects_edge_out_of_range(tmp_path):
     path.write_text("2 2 1\n0 5\n")
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
+
+
+# (a, b, edge_prob, seed) -> sha256 of repr(adjacency), computed at commit
+# 72851b7, when the augmentation ranking was still a list of (i, j) tuples.
+# The first two calls need augmentation; the third has edge_prob = 1.
+PINNED_ADJACENCY = {
+    (1024, 1024, 0.005, 11): "5b928a63efe0a422dd7a387249391021dd2dd049752e80b7bc3ae4acdd0cb191",
+    (40, 60, 0.02, 7): "723b586cd8862964ddce4f7f294927171248ca92efcf4aa693e814d06a620f73",
+    (9, 13, 1.0, 2): "4c86489791b9329ce9012536eb9babc0e76d8e8be4bc0466f0ce3d4d49fc7952",
+    (1, 17, 0.3, 5): "6a9d5c01edab8ad5ccbcab477c589f87916760051b071265af3ac7667446f471",
+    (64, 48, 0.1, 1234): "689be6b486e73eff624cb5d3195c488bd45cd635aa7dd0baecd05a53563e7f21",
+}
+
+
+@pytest.mark.parametrize("call", sorted(PINNED_ADJACENCY), ids=str)
+def test_random_bipartite_adjacency_is_pinned(call):
+    a, b, prob, seed = call
+    g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
+    digest = hashlib.sha256(repr(g.adjacency).encode("utf-8")).hexdigest()
+    assert digest == PINNED_ADJACENCY[call]
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,13 +3,21 @@
 The counting values frozen here were computed from the closed form for
 complete bipartite graphs (each side-A vertex closes C(b,2)*(a-1)
 4-cycles in K_{a,b}) and cross-checked by explicit enumeration.
+
+The two-hop per-node oracle is also held against two references kept
+here: the pair formula over every same-side pair, and a per-node
+four-corner enumeration.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from butterfly_agents import oracle
 from butterfly_agents.graphs import (
+    build_port_graph,
     make_clique,
     make_complete_bipartite,
     make_path,
@@ -17,12 +25,45 @@ from butterfly_agents.graphs import (
 )
 from butterfly_agents.oracle import (
     NotBipartite,
+    OracleMismatch,
     check_spanning_tree,
     enumerate_butterflies,
     oracle_coloring,
     oracle_per_node_butterflies,
     oracle_total_butterflies,
 )
+
+
+def pair_formula_per_node(g):
+    """B(v) as C(|N(v) & N(w)|, 2) summed over every same-side pair."""
+    color = oracle_coloring(g)
+    nbrs = [set(g.neighbors(v)) for v in range(g.node_count)]
+    counts = [0] * g.node_count
+    for side in (0, 1):
+        nodes = [v for v in range(g.node_count) if color[v] == side]
+        for i, v in enumerate(nodes):
+            for w in nodes[i + 1 :]:
+                pair = math.comb(len(nbrs[v] & nbrs[w]), 2)
+                counts[v] += pair
+                counts[w] += pair
+    return counts
+
+
+def enumerate_per_node(g):
+    """B(v) by listing every butterfly and crediting its four corners."""
+    color = oracle_coloring(g)
+    a_nodes = [v for v in range(g.node_count) if color[v] == 0]
+    b_nodes = [v for v in range(g.node_count) if color[v] == 1]
+    nbrs = [set(g.neighbors(v)) for v in range(g.node_count)]
+    counts = [0] * g.node_count
+    for i, u in enumerate(a_nodes):
+        for w in a_nodes[i + 1 :]:
+            common = [x for x in b_nodes if x in nbrs[u] and x in nbrs[w]]
+            for j, x in enumerate(common):
+                for y in common[j + 1 :]:
+                    for corner in (u, w, x, y):
+                        counts[corner] += 1
+    return counts
 
 
 def test_coloring_matches_generator_sides():
@@ -79,6 +120,73 @@ def test_counting_matches_enumeration_on_random_graphs():
     for seed in range(8):
         g, _ = make_random_connected_bipartite(6, 6, edge_prob=0.45, seed=seed)
         assert oracle_total_butterflies(g) == enumerate_butterflies(g)
+
+
+def assert_per_node_matches_references(g):
+    per = oracle_per_node_butterflies(g)
+    assert per == pair_formula_per_node(g)
+    assert per == enumerate_per_node(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.integers(min_value=1, max_value=32),
+    b=st.integers(min_value=1, max_value=32),
+    prob=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_per_node_matches_both_references_on_random_graphs(a, b, prob, seed):
+    g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
+    assert_per_node_matches_references(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_complete_bipartite(1, 9),
+        lambda: make_complete_bipartite(9, 1),
+        lambda: make_complete_bipartite(1, 1),
+        lambda: make_path(2),
+        lambda: make_path(7),
+        lambda: make_path(12),
+        lambda: make_complete_bipartite(12, 12),
+        lambda: make_complete_bipartite(2, 31),
+    ],
+    ids=["K1,9", "K9,1", "K1,1", "path2", "path7", "path12", "K12,12", "K2,31"],
+)
+def test_per_node_matches_both_references_on_degenerate_shapes(make):
+    g, _ = make()
+    assert_per_node_matches_references(g)
+
+
+def test_per_node_matches_pair_formula_at_benchmark_scale():
+    # the sparse benchmark shape; enumeration is out of reach at this size
+    g, _ = make_random_connected_bipartite(1024, 1024, edge_prob=0.005, seed=2024)
+    assert oracle_per_node_butterflies(g) == pair_formula_per_node(g)
+
+
+def test_per_node_keeps_coloring_checks():
+    with pytest.raises(NotBipartite):
+        oracle_per_node_butterflies(make_clique(4))
+    with pytest.raises(ValueError, match="connected"):
+        oracle_per_node_butterflies(build_port_graph(4, [(0, 1), (2, 3)]))
+
+
+def test_enumeration_mismatch_is_a_typed_error(monkeypatch):
+    g, _ = make_complete_bipartite(3, 3)
+    monkeypatch.setattr(oracle, "enumerate_butterflies", lambda g: 8)
+    with pytest.raises(OracleMismatch, match="two-hop count gives 9, enumeration gives 8"):
+        oracle_total_butterflies(g)
+
+
+def test_side_sum_mismatches_are_typed_errors(monkeypatch):
+    g, _ = make_complete_bipartite(2, 2)  # per-node counts [1, 1, 1, 1]
+    monkeypatch.setattr(oracle, "oracle_per_node_butterflies", lambda g: [1, 1, 1, 3])
+    with pytest.raises(OracleMismatch, match="side sums disagree: 2 vs 4"):
+        oracle_total_butterflies(g)
+    monkeypatch.setattr(oracle, "oracle_per_node_butterflies", lambda g: [1, 0, 1, 0])
+    with pytest.raises(OracleMismatch, match="side sum 1 is odd"):
+        oracle_total_butterflies(g)
 
 
 def test_spanning_tree_checker_accepts_a_line():

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from butterfly_agents.graphs import (
+    build_port_graph,
     make_complete_bipartite,
     make_path,
     make_random_connected_bipartite,
@@ -185,6 +186,19 @@ def test_place_dispersed_rejects_small_lam():
     g, _ = make_path(2)
     with pytest.raises(ValueError):
         place_dispersed(g, [1, 9], lam=3)
+
+
+def test_place_dispersed_rejects_empty_graph():
+    g = build_port_graph(0, [])
+    with pytest.raises(ValueError, match="empty graph"):
+        place_dispersed(g, [])
+
+
+def test_place_dispersed_rejects_disconnected_graph():
+    # two disjoint edges: before any round runs, not after the election
+    g = build_port_graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="disconnected: 2 of 4 nodes"):
+        place_dispersed(g, [4, 1, 3, 2])
 
 
 def test_fresh_agent_memory_is_24_bits():
