@@ -138,17 +138,25 @@ def diff_per_node(got: dict[int, int], want: dict[int, int]) -> list[str]:
     return problems
 
 
-def _partition_problems(graph, home: dict[int, int], partition: dict[int, int],
-                        leader_id: int) -> list[str]:
+def _partition_problems(graph, tree, partition: dict[int, int]) -> list[str]:
+    """Each agent's side, against the oracle 2-coloring taken relative to
+    the root's side.  A graph with an odd cycle has no 2-coloring; there the
+    side must be the parity of the agent's depth in the tree, which is what
+    the protocols assign."""
     try:
         side = oracle_coloring(graph)
     except NotBipartite:
-        return []  # nothing to hold the 2-coloring against
-    lead = side[home[leader_id]]
+        depth = tree.depth_map(graph)  # a broken tree is _tree_problems' to report
+        expected = {aid: depth[aid] % 2 for aid in partition if aid in depth}
+    else:
+        lead = side[tree.home_node[tree.root_id]]
+        expected = {
+            aid: 0 if side[tree.home_node[aid]] == lead else 1 for aid in partition
+        }
     return [
-        f"agent {aid}: partition {got}, expected {0 if side[home[aid]] == lead else 1}"
+        f"agent {aid}: partition {got}, expected {expected[aid]}"
         for aid, got in sorted(partition.items())
-        if got != (0 if side[home[aid]] == lead else 1)
+        if aid in expected and got != expected[aid]
     ]
 
 
@@ -252,7 +260,7 @@ def cmd_run(args) -> int:
         report, trace = res.report, res.trace
         if args.verify:
             problems += _tree_problems(graph, res.tree)
-            problems += _partition_problems(graph, res.tree.home_node, res.partition, leader)
+            problems += _partition_problems(graph, res.tree, res.partition)
             problems += _payload_problems(graph, res.payload)
             budget = 4 * n
             spent = res.report.rounds_per_phase["assignment"]
@@ -268,9 +276,7 @@ def cmd_run(args) -> int:
             if res.leader_id != min(ids):
                 problems.append(f"leader {res.leader_id}, smallest id is {min(ids)}")
             problems += _tree_problems(graph, res.tree)
-            problems += _partition_problems(
-                graph, res.tree.home_node, res.partition, res.leader_id
-            )
+            problems += _partition_problems(graph, res.tree, res.partition)
             problems += _payload_problems(graph, res.payload)
     elif args.protocol == "butterfly-full":
         res = count_butterflies(

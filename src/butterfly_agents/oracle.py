@@ -3,7 +3,8 @@
 Everything here sees the whole graph at once and uses exact Python
 integers:
 
-* BFS two-coloring, which also rejects odd cycles and disconnected graphs.
+* BFS two-coloring, which also rejects odd cycles and empty or
+  disconnected graphs.
 * Per-node butterfly counts by two-hop pairs.  B(v) sums C(c, 2) over the
   same-side nodes w two hops from v, with c = |N(v) & N(w)| read as the
   popcount of two neighbor bitmasks.  Pairs with no common neighbor are
@@ -46,9 +47,12 @@ class OracleMismatch(RuntimeError):
 def oracle_coloring(g: PortGraph) -> list[int]:
     """Two-color a connected graph by BFS from node 0; color[0] = 0.
 
-    Raises NotBipartite if any edge joins two nodes of the same color.
+    Raises NotBipartite if any edge joins two nodes of the same color, and
+    ValueError if the graph is empty or disconnected.
     """
     n = g.node_count
+    if n == 0:
+        raise ValueError("oracle_coloring requires a non-empty graph")
     color = [-1] * n
     color[0] = 0
     queue = [0]

@@ -124,6 +124,9 @@ class NeighborScanProgram(AgentProgram):
                 state.wake_round = view.round + 1
                 return k
             return None
+        if view.at_home:  # home on a return round: past its last port, idle
+            state.wake_round = NEVER
+            return None
         resident = home_resident(state, view, k)
         state.neighbor_list.append((k, resident.id))
         if k + 1 < ps["mydeg"]:
@@ -177,6 +180,9 @@ class WedgeCountProgram(AgentProgram):
             if k < ps["mydeg"]:
                 state.wake_round = view.round + 1
                 return k
+            return None
+        if view.at_home:  # home on a return round: past its last port, idle
+            state.wake_round = NEVER
             return None
         resident = home_resident(state, view, k)
         for _, aid in resident.neighbor_list:

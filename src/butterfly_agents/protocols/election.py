@@ -56,7 +56,7 @@ from ..runtime import (
     run,
 )
 from .known_leader import AggregatePayload, advance_port, first_port
-from .meeting import MeetingId, make_meeting_id, window_length
+from .meeting import make_meeting_id, window_length
 from .treecast import TreeEdgeSet, broadcast_down, tree_from_states
 
 
@@ -73,7 +73,9 @@ class ElectionProgram(AgentProgram):
 
     def __init__(self) -> None:
         self.scratch_widths: dict[str, int | str] = {}
-        self._mids: dict[int, MeetingId] = {}
+        # agent id -> departure slots as an int: bit i set when the
+        # agent's meeting id leaves home on slot i
+        self._departs: dict[int, int] = {}
         self._wlen = 0
         self._retry_cap = 0
 
@@ -99,7 +101,7 @@ class ElectionProgram(AgentProgram):
             "agg_max": "deg",
         }
         for state, deg in zip(states, ctx.degrees):
-            self._mids[state.id] = make_meeting_id(state.id, ctx.lam)
+            self._departs[state.id] = int(make_meeting_id(state.id, ctx.lam).bits, 2)
             state.parent = None
             state.child = None
             state.sibling = None
@@ -163,11 +165,12 @@ class ElectionProgram(AgentProgram):
             return
         base = view.round - view.round % self._wlen
         if "trip_port" in ps and not ps["trip_done"]:
-            mid = self._mids[state.id]
-            for i in range(view.round - base + 2 >> 1, len(mid.bits)):
-                if mid.bit(i):
-                    state.wake_round = base + 2 * i
-                    return
+            first = view.round - base + 2 >> 1  # the next slot still ahead
+            later = self._departs[state.id] >> first
+            if later:
+                # slot of the lowest set bit at or above ``first``
+                state.wake_round = base + 2 * (first + (later & -later).bit_length() - 1)
+                return
         state.wake_round = base + self._wlen
 
     # -- merge rules ----------------------------------------------------------
@@ -311,7 +314,7 @@ class ElectionProgram(AgentProgram):
             if (
                 "trip_port" in ps
                 and not ps["trip_done"]
-                and self._mids[state.id].bit(pos // 2)
+                and self._departs[state.id] >> (pos >> 1) & 1
             ):
                 state.wake_round = view.round + 1
                 return ps["trip_port"]

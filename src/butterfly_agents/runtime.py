@@ -15,7 +15,7 @@ written in the current round; what an agent observes is its own state, the
 degree of the node it stands on, its port of entry, and snapshots of the
 agents standing at the same node.
 
-To keep long runs cheap the engine maintains a wake queue: a program sets
+To keep long runs cheap the engine keeps a wake calendar: a program sets
 ``state.wake_round`` to the next round it needs attention, and is stepped
 earlier only if other agents stand at its node at the start of a round.
 Sleeping agents stay put by definition, so skipping their steps is
@@ -23,14 +23,24 @@ behavior-preserving (exercised by an always-step equivalence test).
 
 Per-round cost model.  Host work in a round is proportional to the agents
 stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
-a trace is recorded.  Bit widths (id, port, degree and every declared
-scratch key) are resolved into one int table per run, after ``on_start``,
-so a dirty step's accounting is a table lookup per live scratch key.  Each
-crowded node's snapshot tuple is built once per round, in ascending id
-order, and every agent there gets that tuple with itself sliced out.
-Snapshots are round-start copies: the neighbor table and scratch are
-copied when the round starts, so nothing an agent writes during its step
-is visible to another agent before the next round.
+a trace is recorded.  The calendar maps a round to the ranks scheduled for
+it (rank = position in ascending id order) and a heap holds each pending
+round once; an entry is live while the agent's ``wake_round`` still names
+that round, so rescheduling never searches the calendar.  Bit widths (id,
+port, degree and every declared scratch key) are resolved into one int
+table per run, after ``on_start``, so a dirty step's accounting is one
+lookup per live scratch key.  At the start of a round each crowded node's
+snapshot tuple is built once, in ascending id order, and every agent there
+gets that tuple with itself sliced out.  Snapshots are round-start copies:
+the neighbor table and scratch are copied then, so nothing an agent writes
+during its step is visible to another agent before the next round.  The
+round is then one sweep over the stepped agents in ascending rank: each
+is stepped, its move applied, its memory accounted if ``dirty``, its
+done flag updated and its wake scheduled before the next agent's turn.
+Because every view was fixed before the sweep began, an early mover never
+shows up in a later agent's view and moves stay simultaneous.  If an agent
+asks for a port its node lacks, ``IllegalPort`` is raised at its turn;
+agents earlier in that sweep have already moved.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .graphs import unreachable_count
@@ -127,8 +138,12 @@ class Snapshot(NamedTuple):
     scratch: Mapping[str, Any]
 
 
+_new_record = tuple.__new__  # builds a NamedTuple without its Python __new__
+
+
 def _snapshot(state: AgentState) -> Snapshot:
-    return Snapshot(
+    nl = state.neighbor_list
+    return _new_record(Snapshot, (
         state.id,
         state.current_node == state.home_node,
         state.entered_port,
@@ -140,9 +155,9 @@ def _snapshot(state: AgentState) -> Snapshot:
         state.completion,
         state.treelabel,
         state.leader,
-        tuple(state.neighbor_list),
+        tuple(nl) if nl else (),
         dict(state.phase_state),
-    )
+    ))
 
 
 class StepView(NamedTuple):
@@ -283,11 +298,11 @@ def _resolve_widths(
 
 
 def _memory_bits(state: AgentState, widths: _Widths) -> int:
-    scratch = widths.scratch
-    bits = widths.fixed + widths.entry * (len(state.neighbor_list) + len(state.counters))
-    for key in state.phase_state:
-        bits += scratch.get(key, 0)
-    return bits
+    return (
+        widths.fixed
+        + widths.entry * (len(state.neighbor_list) + len(state.counters))
+        + sum(map(widths.scratch.get, state.phase_state, repeat(0)))
+    )
 
 
 def account_memory(
@@ -449,10 +464,15 @@ def run(
     done = [local_done(s) for s in by_id]
     undone = sum(1 for d in done if not d)
 
-    wake_heap: list[tuple[int, int]] = [
-        (s.wake_round, r) for r, s in enumerate(by_id) if s.wake_round < NEVER
-    ]
-    heapq.heapify(wake_heap)
+    # Wake calendar: round -> ranks scheduled for it, plus a heap holding
+    # each pending round once.  An entry is live while the agent's
+    # wake_round still names its round.
+    calendar: dict[int, list[int]] = {}
+    for r, s in enumerate(by_id):
+        if s.wake_round < NEVER:
+            calendar.setdefault(s.wake_round, []).append(r)
+    pending = list(calendar)
+    heapq.heapify(pending)
     heappop = heapq.heappop
     heappush = heapq.heappush
 
@@ -470,16 +490,15 @@ def run(
         if always_step:
             active = range(n)
         else:
-            while wake_heap and wake_heap[0][0] < rnd:
-                heappop(wake_heap)  # stale entries
-            due_now = wake_heap and wake_heap[0][0] == rnd
-            if not due_now and not crowded:
+            while pending and pending[0] < rnd:
+                del calendar[heappop(pending)]  # a negative round set by on_start
+            if not crowded and not (pending and pending[0] == rnd):
                 # Nothing due and nobody co-located: fast-forward.
-                if not wake_heap:
+                if not pending:
                     raise RoundLimitExceeded(
                         f"{program.name}: all agents asleep with {undone} not done"
                     )
-                skip_to = wake_heap[0][0]
+                skip_to = pending[0]
                 if skip_to >= max_rounds:
                     raise RoundLimitExceeded(
                         f"{program.name}: no termination within {max_rounds} rounds"
@@ -489,11 +508,11 @@ def run(
                     for r in range(rnd, skip_to):
                         trace.extend((r, a, v, "stay", None) for a, v in here)
                 rnd = skip_to
-            due: set[int] = set()
-            while wake_heap and wake_heap[0][0] == rnd:
-                r = heappop(wake_heap)[1]
-                if by_id[r].wake_round == rnd:
-                    due.add(r)
+            if pending and pending[0] == rnd:
+                heappop(pending)
+                due = {r for r in calendar.pop(rnd) if by_id[r].wake_round == rnd}
+            else:
+                due = set()
             for node in crowded:
                 due.update(occupants[node])
             active = sorted(due)
@@ -507,7 +526,7 @@ def run(
             for k, r in enumerate(crowd):
                 colocated_of[r] = snaps[:k] + snaps[k + 1:]
 
-        moves: list[tuple[int, int]] = []  # (rank, port)
+        # One sweep: compute, move and account each agent in turn.
         for r in active:
             state = by_id[r]
             node = state.current_node
@@ -517,46 +536,35 @@ def run(
                     comms.append((rnd, state.id, other.id))
             deg = degree[node]
             state.wake_round = rnd + 1  # default; programs override
-            action = step(
-                state,
-                StepView(rnd, node == state.home_node, state.entered_port, deg, colocated),
-            )
-            if action is not None:
-                if not (0 <= action < deg):
+            port = step(state, _new_record(StepView, (
+                rnd, node == state.home_node, state.entered_port, deg, colocated
+            )))
+            if port is None:
+                if trace is not None:
+                    trace.append((rnd, state.id, node, "stay", None))
+            else:
+                if not (0 <= port < deg):
                     raise IllegalPort(
                         f"agent {state.id} at a degree-{deg} node "
-                        f"asked for port {action} in round {rnd}"
+                        f"asked for port {port} in round {rnd}"
                     )
-                moves.append((r, action))
                 if trace is not None:
-                    trace.append((rnd, state.id, node, "move", action))
-            elif trace is not None:
-                trace.append((rnd, state.id, node, "stay", None))
-        if trace is not None and not always_step:
-            stepped = set(active)
-            for r, s in enumerate(by_id):
-                if r not in stepped:
-                    trace.append((rnd, s.id, s.current_node, "stay", None))
+                    trace.append((rnd, state.id, node, "move", port))
+                dest, back = adjacency[node][port]
+                occ = occupants[node]
+                occ.remove(r)
+                if len(occ) <= 1:
+                    crowded.discard(node)
+                state.current_node = dest
+                state.entered_port = back
+                dest_occ = occupants.get(dest)
+                if dest_occ is None:
+                    occupants[dest] = [r]
+                else:
+                    dest_occ.append(r)
+                    if len(dest_occ) > 1:
+                        crowded.add(dest)
 
-        # Move: simultaneous.
-        for r, port in moves:
-            state = by_id[r]
-            src = state.current_node
-            dest, back = adjacency[src][port]
-            occ = occupants[src]
-            occ.remove(r)
-            if len(occ) <= 1:
-                crowded.discard(src)
-            state.current_node = dest
-            state.entered_port = back
-            dest_occ = occupants.setdefault(dest, [])
-            dest_occ.append(r)
-            if len(dest_occ) > 1:
-                crowded.add(dest)
-
-        # Bookkeeping for stepped agents.
-        for r in active:
-            state = by_id[r]
             if state.dirty:
                 bits = _memory_bits(state, widths)
                 if bits > peak[state.id]:
@@ -566,10 +574,22 @@ def run(
             if is_done != done[r]:
                 done[r] = is_done
                 undone += -1 if is_done else 1
-            if state.wake_round <= rnd:  # "now" means next round
-                state.wake_round = rnd + 1
-            if not always_step and state.wake_round < NEVER:
-                heappush(wake_heap, (state.wake_round, r))
+            wake = state.wake_round
+            if wake <= rnd:  # "now" means next round
+                wake = state.wake_round = rnd + 1
+            if wake < NEVER and not always_step:
+                slot = calendar.get(wake)
+                if slot is None:
+                    calendar[wake] = [r]
+                    heappush(pending, wake)
+                else:
+                    slot.append(r)
+
+        if trace is not None and not always_step:
+            stepped = set(active)
+            for r, s in enumerate(by_id):
+                if r not in stepped:
+                    trace.append((rnd, s.id, s.current_node, "stay", None))
 
         rnd += 1
 

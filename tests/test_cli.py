@@ -94,6 +94,25 @@ def test_odd_cycle_is_a_config_error(capsys, monkeypatch):
     assert err.startswith("error: agent ") and "odd cycle" in err
 
 
+def test_verify_checks_partition_on_a_non_bipartite_graph(capsys, monkeypatch):
+    # K4 has no 2-coloring: sides are held against tree-depth parity
+    argv = ["run", "--gen", "clique", "4", "--ids", "seq", "--protocol", "election", "--verify"]
+    assert cli.main(argv) == 0
+    assert "verify:      ok" in capsys.readouterr().out
+
+    elect = cli.elect_leader_and_tree
+
+    def corrupted(*args, **kwargs):
+        res = elect(*args, **kwargs)
+        res.partition[3] ^= 1
+        return res
+
+    monkeypatch.setattr(cli, "elect_leader_and_tree", corrupted)
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "VERIFY FAIL: agent 3: partition" in err
+
+
 def test_round_budget_exit_code(capsys):
     rc = cli.main(
         ["run", "--gen", "complete", "3", "3", "--ids", "seq",

@@ -172,6 +172,14 @@ def test_per_node_keeps_coloring_checks():
         oracle_per_node_butterflies(build_port_graph(4, [(0, 1), (2, 3)]))
 
 
+def test_empty_graph_is_a_typed_error():
+    empty = build_port_graph(0, [])
+    for check in (oracle_coloring, oracle_per_node_butterflies, oracle_total_butterflies):
+        with pytest.raises(ValueError, match="non-empty graph") as info:
+            check(empty)
+        assert not isinstance(info.value, NotBipartite)
+
+
 def test_enumeration_mismatch_is_a_typed_error(monkeypatch):
     g, _ = make_complete_bipartite(3, 3)
     monkeypatch.setattr(oracle, "enumerate_butterflies", lambda g: 8)

@@ -1,6 +1,7 @@
 """Engine semantics: scheduling, movement, memory accounting, determinism."""
 
 import json
+import operator
 import random
 
 import pytest
@@ -11,8 +12,13 @@ from butterfly_agents.graphs import (
     make_path,
     make_random_connected_bipartite,
 )
-from butterfly_agents.protocols.election import ElectionProgram
+from butterfly_agents.protocols import butterfly as butterfly_module
+from butterfly_agents.protocols import election as election_module
+from butterfly_agents.protocols import treecast as treecast_module
+from butterfly_agents.protocols.butterfly import NeighborScanProgram, WedgeCountProgram
+from butterfly_agents.protocols.election import ElectionProgram, elect_leader_and_tree
 from butterfly_agents.protocols.meeting import MeetingWindowProgram
+from butterfly_agents.protocols.treecast import BroadcastProgram, ConvergecastProgram
 from butterfly_agents.runtime import (
     NEVER,
     AgentProgram,
@@ -163,6 +169,33 @@ class RoundStartIsolation(AgentProgram):
         return state.at_home and state.treelabel - state.id >= 4
 
 
+class Scripted(AgentProgram):
+    """Logs every step; ports and wake rounds follow a fixed script.
+
+    ``script[(round, id)]`` is the (port, next wake round) an agent returns
+    when stepped; a step off the script stays and sleeps for good.
+    """
+
+    name = "scripted"
+
+    def __init__(self, first_wake, script):
+        self.first_wake = first_wake
+        self.script = script
+        self.steps = []  # (round, id, ids seen co-located)
+
+    def on_start(self, states, ctx):
+        for s in states:
+            s.wake_round = self.first_wake.get(s.id, NEVER)
+
+    def step(self, state, view):
+        self.steps.append((view.round, state.id, [o.id for o in view.colocated]))
+        port, state.wake_round = self.script.get((view.round, state.id), (None, NEVER))
+        return port
+
+    def local_done(self, state):
+        return state.wake_round == NEVER and state.at_home
+
+
 def test_place_dispersed_shape():
     g, _ = make_path(3)
     cfg = place_dispersed(g, [5, 1, 3])
@@ -238,6 +271,80 @@ def test_illegal_port_is_rejected():
         run(g, cfg, AskForBadPort())
 
 
+def test_illegal_port_names_the_agent_after_earlier_moves():
+    g, _ = make_path(3)
+    cfg = place_dispersed(g, [5, 1, 3])  # sweep order: 1 (node 1), 3, 5 (node 0)
+    prog = Scripted({1: 0, 3: 0, 5: 0}, {(0, 1): (0, 1), (0, 5): (1, 1)})
+    with pytest.raises(IllegalPort, match="agent 5 at a degree-1 node asked for port 1 in round 0"):
+        run(g, cfg, prog)
+    assert [(rnd, agent) for rnd, agent, _ in prog.steps] == [(0, 1), (0, 3), (0, 5)]
+    # agent 1 stepped earlier in the same sweep and has already moved
+    assert cfg.states[1].current_node != 1
+
+
+def test_early_mover_is_not_seen_until_next_round():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [0, 1])
+    # agent 0 steps first and moves onto agent 1's node in round 0
+    prog = Scripted(
+        {0: 0, 1: 0},
+        {(0, 0): (0, 1), (1, 0): (0, NEVER), (0, 1): (None, 1), (1, 1): (None, NEVER)},
+    )
+    result = run(g, cfg, prog)
+    assert prog.steps == [(0, 0, []), (0, 1, []), (1, 0, [1]), (1, 1, [0])]
+    assert result.rounds == 2
+
+
+def test_crowd_woken_agent_that_reschedules_skips_its_stale_round():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [0, 1])
+    # agent 1 sleeps until 6; agent 0's visit wakes it at 3, and it sleeps on to 9
+    prog = Scripted(
+        {0: 2, 1: 0},
+        {
+            (0, 1): (None, 6),
+            (2, 0): (0, 3),
+            (3, 0): (0, NEVER),
+            (3, 1): (None, 9),
+            (9, 1): (None, NEVER),
+        },
+    )
+    result = run(g, cfg, prog)
+    assert prog.steps == [(0, 1, []), (2, 0, []), (3, 0, [1]), (3, 1, [0]), (9, 1, [])]
+    assert result.rounds == 10
+
+
+def test_agent_scheduled_twice_for_a_round_steps_once():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [0, 1])
+    # agent 1 is due at 3 while a visitor crowds it, then asks for round 6
+    # at round 3 and again at round 5, when the visitor comes back
+    prog = Scripted(
+        {0: 2, 1: 0},
+        {
+            (0, 1): (None, 3),
+            (2, 0): (0, 3),
+            (3, 0): (0, 4),
+            (3, 1): (None, 6),
+            (4, 0): (0, 5),
+            (5, 0): (0, NEVER),
+            (5, 1): (None, 6),
+            (6, 1): (None, NEVER),
+        },
+    )
+    run(g, cfg, prog)
+    assert prog.steps == [
+        (0, 1, []),
+        (2, 0, []),
+        (3, 0, [1]),
+        (3, 1, [0]),
+        (4, 0, []),
+        (5, 0, [1]),
+        (5, 1, [0]),
+        (6, 1, []),
+    ]
+
+
 def test_round_limit_raises():
     g, _ = make_path(2)
     cfg = place_dispersed(g, [0, 1])
@@ -292,36 +399,87 @@ def test_runs_are_deterministic():
     assert first == second
 
 
+# Each case returns a fresh (graph, config, program) on every call.
+
+
 def meeting_window_case():
     g, _ = make_complete_bipartite(2, 2)
     targets = {7: 0, 3: 0, 9: 0, 5: 0}
-    return g, [7, 3, 9, 5], 15, lambda: MeetingWindowProgram(15, targets)
+    return g, place_dispersed(g, [7, 3, 9, 5], lam=15), MeetingWindowProgram(15, targets)
+
+
+def small_bipartite():
+    g, _ = make_random_connected_bipartite(4, 5, edge_prob=0.4, seed=2)
+    return g, place_dispersed(g, random.Random(2).sample(range(32), 9))
 
 
 def election_case():
-    g, _ = make_random_connected_bipartite(4, 5, edge_prob=0.4, seed=2)
-    return g, random.Random(2).sample(range(32), 9), None, ElectionProgram
+    g, cfg = small_bipartite()
+    return g, cfg, ElectionProgram()
 
 
 def converge_case():
     g, _ = make_path(3)
-    return g, [4, 5, 6], None, Converge
+    return g, place_dispersed(g, [4, 5, 6]), Converge()
+
+
+def elected():
+    """The small bipartite instance after election and downcast."""
+    g, cfg = small_bipartite()
+    return g, cfg, elect_leader_and_tree(g, cfg).tree
+
+
+def neighbor_scan_case():
+    g, cfg, _ = elected()
+    return g, cfg, NeighborScanProgram(0)
+
+
+def wedge_count_case():
+    g, cfg, _ = elected()
+    run(g, cfg, NeighborScanProgram(0))
+    return g, cfg, WedgeCountProgram(0)
+
+
+def broadcast_case():
+    g, cfg, tree = elected()
+    return g, cfg, BroadcastProgram(tree, 5, value_width=3)
+
+
+def convergecast_case():
+    g, cfg, tree = elected()
+    kids = {a: len(c) for a, c in tree.children_map(g).items()}
+    values = {s.id: s.id for s in cfg.states}
+    return g, cfg, ConvergecastProgram(tree, kids, values, operator.add, value_width=8)
 
 
 @pytest.mark.parametrize(
     "case",
-    [meeting_window_case, election_case, converge_case],
-    ids=["meeting_window", "election", "converge"],
+    [
+        meeting_window_case,
+        election_case,
+        converge_case,
+        neighbor_scan_case,
+        wedge_count_case,
+        broadcast_case,
+        convergecast_case,
+    ],
+    ids=[
+        "meeting_window",
+        "election",
+        "converge",
+        "neighbor_scan",
+        "wedge_count",
+        "broadcast",
+        "convergecast",
+    ],
 )
 def test_lazy_and_always_step_agree(case):
-    g, ids, lam, make_program = case()
-
     def one_run(always_step):
-        cfg = place_dispersed(g, ids, lam=lam)
+        g, cfg, program = case()
         res = run(
             g,
             cfg,
-            make_program(),
+            program,
             record_trace=True,
             record_comms=True,
             always_step=always_step,
@@ -354,6 +512,57 @@ def test_colocated_snapshots_are_round_start_copies():
             ]
             assert prog.seen[(rnd, agent)] == expected, (rnd, agent)
     assert max(rnd for rnd, _ in prog.seen) == 3
+
+
+def test_dirty_gated_peaks_match_a_full_recount(monkeypatch):
+    """The engine accounts memory only on steps that set ``dirty``.  Recount
+    every agent with the public ``account_memory`` after ``on_start`` and
+    after every step instead: each phase's running maximum must be the peak
+    the engine reported, so no program changed state without saying so."""
+    g, _ = make_random_connected_bipartite(9, 11, edge_prob=0.4, seed=5)  # A8
+    ids = random.Random(5).sample(range(64), 20)
+    phases = []
+
+    def recounting_run(graph, config, program, **kwargs):
+        recount = {}
+
+        def account(state):
+            bits = account_memory(state, config.lam, graph.max_degree, program.scratch_widths)
+            recount[state.id] = max(recount.get(state.id, 0), bits)
+
+        on_start, step = program.on_start, program.step
+
+        def counted_on_start(states, ctx):
+            on_start(states, ctx)
+            for s in states:
+                account(s)
+
+        def counted_step(state, view):
+            port = step(state, view)
+            account(state)
+            return port
+
+        program.on_start = counted_on_start
+        program.step = counted_step
+        result = run(graph, config, program, **kwargs)
+        phases.append((program.name, recount, result.peak_bits))
+        return result
+
+    for module in (election_module, treecast_module, butterfly_module):
+        monkeypatch.setattr(module, "run", recounting_run)
+    butterfly_module.count_butterflies(g, place_dispersed(g, ids))
+    assert [name for name, _, _ in phases] == [
+        "election",
+        "broadcast-down",
+        "neighbor-scan",
+        "wedge-count",
+        "convergecast",
+        "broadcast-down",
+        "neighbor-scan",
+        "wedge-count",
+    ]
+    for name, recount, peak in phases:
+        assert recount == peak, name
 
 
 def test_trace_offset_and_jsonl(tmp_path):
