@@ -15,8 +15,10 @@ spanning tree whose 2-coloring tells each agent its side:
    is seen by exactly two same-side nodes, so the root halves the sum) and
    the total is broadcast back down.
 
-The mirrored run repeats phases 1-2 with the sides swapped so that the
-other side's per-node counts are produced the same way.
+Phases 1-2 then run again with the sides swapped, always: that produces
+the other side's per-node counts the same way, and with both passes every
+edge is crossed from both ends, so an edge joining two same-side nodes
+(the graph has an odd cycle) always raises ``NotBipartiteSwarm``.
 """
 
 from __future__ import annotations
@@ -28,18 +30,19 @@ from ..runtime import (
     NEVER,
     AgentProgram,
     AgentState,
+    PhaseInvariantError,
     RunContext,
     RunReport,
     RunResult,
     SimConfig,
     Snapshot,
     StepView,
+    Timeline,
     TraceEvent,
     id_bits,
-    offset_trace,
     run,
 )
-from .election import ElectionResult, elect_leader_and_tree
+from .election import ElectionResult, _elect
 from .treecast import TreeEdgeSet, broadcast_down, convergecast
 
 
@@ -85,93 +88,54 @@ def home_resident(state: AgentState, view: StepView, port: int) -> Snapshot:
     raise NotBipartiteSwarm(state.id, port, view.round, found)
 
 
-class NeighborScanProgram(AgentProgram):
-    """Lockstep port sweep that builds neighbor tables on both sides.
+class LockstepSweep(AgentProgram):
+    """One side sweeps its ports in lockstep, one slot of two rounds per port.
 
-    Movers visit the node behind port ``k`` during rounds ``2k`` and
-    ``2k + 1``; the stationary side never leaves home, so every visit finds
-    its host.  ``2 * max mover degree`` rounds in total.
+    Movers cross port ``k`` in round ``2k``, read the host behind it in
+    round ``2k + 1`` and come straight back; the stationary side never
+    leaves home, so every visit finds its host.  ``2 * max mover degree``
+    rounds in total.  Subclasses supply ``visit`` (a mover's action at the
+    host behind port ``k``) and ``finish`` (after its last port); ``host``
+    is what a stationary agent does when stepped.  ``table`` names the
+    per-agent table the sweep fills, emptied for every agent at the start.
     """
 
-    name = "neighbor-scan"
-
-    def __init__(self, mover_side: int):
-        self.mover_side = mover_side
-        self.scratch_widths: dict[str, int | str] = {"mydeg": "deg", "scan_done": "bool"}
-
-    def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
-        for state, deg in zip(states, ctx.degrees):
-            state.neighbor_list = []
-            if state.partition == self.mover_side:
-                state.phase_state = {"mydeg": deg, "scan_done": deg == 0}
-                state.wake_round = 0
-            else:
-                state.phase_state = {}
-                state.wake_round = NEVER
-
-    def step(self, state: AgentState, view: StepView) -> int | None:
-        if state.partition != self.mover_side:
-            for s in view.colocated:  # hosts log whoever shows up
-                if not s.at_home:
-                    state.neighbor_list.append((s.entered_port, s.id))
-                    state.dirty = True
-            state.wake_round = NEVER
-            return None
-        ps = state.phase_state
-        k = view.round // 2
-        if view.round % 2 == 0:
-            if k < ps["mydeg"]:
-                state.wake_round = view.round + 1
-                return k
-            return None
-        if view.at_home:  # home on a return round: past its last port, idle
-            state.wake_round = NEVER
-            return None
-        resident = home_resident(state, view, k)
-        state.neighbor_list.append((k, resident.id))
-        if k + 1 < ps["mydeg"]:
-            state.wake_round = view.round + 1
-        else:
-            ps["scan_done"] = True
-            state.wake_round = NEVER
-        state.dirty = True
-        return view.entered_port
-
-    def local_done(self, state: AgentState) -> bool:
-        if state.partition != self.mover_side:
-            return True
-        return state.at_home and bool(state.phase_state.get("scan_done"))
-
-
-class WedgeCountProgram(AgentProgram):
-    """Second lockstep sweep: movers read each host's neighbor table and
-    tally shared neighbors per same-side id, then fold the tally into the
-    number of butterflies through their own node."""
-
-    name = "wedge-count"
+    table = "neighbor_list"
 
     def __init__(self, mover_side: int):
         self.mover_side = mover_side
         self.scratch_widths: dict[str, int | str] = {}
+
+    def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
+        raise NotImplementedError
+
+    def finish(self, state: AgentState) -> None:
+        pass
+
+    def host(self, state: AgentState, view: StepView) -> None:
+        pass
 
     def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
         dw = max(ctx.max_degree.bit_length(), 1)
         self.scratch_widths = {
             "mydeg": "deg",
             "scan_done": "bool",
-            "bfly": ctx.id_width + 2 * dw,
+            "bfly": ctx.id_width + 2 * dw,  # the wedge count's per-node result
         }
         for state, deg in zip(states, ctx.degrees):
-            state.counters = {}
+            getattr(state, self.table).clear()
             if state.partition == self.mover_side:
-                state.phase_state = {"mydeg": deg, "scan_done": deg == 0, "bfly": 0}
+                state.phase_state = {"mydeg": deg, "scan_done": deg == 0}
                 state.wake_round = 0
+                if deg == 0:  # no ports to sweep
+                    self.finish(state)
             else:
                 state.phase_state = {}
                 state.wake_round = NEVER
 
     def step(self, state: AgentState, view: StepView) -> int | None:
         if state.partition != self.mover_side:
+            self.host(state, view)
             state.wake_round = NEVER
             return None
         ps = state.phase_state
@@ -184,15 +148,12 @@ class WedgeCountProgram(AgentProgram):
         if view.at_home:  # home on a return round: past its last port, idle
             state.wake_round = NEVER
             return None
-        resident = home_resident(state, view, k)
-        for _, aid in resident.neighbor_list:
-            if aid != state.id:
-                state.counters[aid] = state.counters.get(aid, 0) + 1
+        self.visit(state, home_resident(state, view, k), k)
         if k + 1 < ps["mydeg"]:
             state.wake_round = view.round + 1
         else:
             ps["scan_done"] = True
-            ps["bfly"] = sum(pair_butterflies(c) for c in state.counters.values())
+            self.finish(state)
             state.wake_round = NEVER
         state.dirty = True
         return view.entered_port
@@ -201,6 +162,40 @@ class WedgeCountProgram(AgentProgram):
         if state.partition != self.mover_side:
             return True
         return state.at_home and bool(state.phase_state.get("scan_done"))
+
+
+class NeighborScanProgram(LockstepSweep):
+    """Builds neighbor tables on both sides: visitor and host each record
+    the (port, id) pair of the edge between them."""
+
+    name = "neighbor-scan"
+
+    def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
+        state.neighbor_list.append((port, resident.id))
+
+    def host(self, state: AgentState, view: StepView) -> None:
+        for s in view.colocated:  # hosts log whoever shows up
+            if not s.at_home:
+                state.neighbor_list.append((s.entered_port, s.id))
+                state.dirty = True
+
+
+class WedgeCountProgram(LockstepSweep):
+    """Second sweep: movers read each host's neighbor table and tally
+    shared neighbors per same-side id, then fold the tally into the
+    number of butterflies through their own node."""
+
+    name = "wedge-count"
+    table = "counters"
+
+    def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
+        counters = state.counters
+        for _, aid in resident.neighbor_list:
+            if aid != state.id:
+                counters[aid] = counters.get(aid, 0) + 1
+
+    def finish(self, state: AgentState) -> None:
+        state.phase_state["bfly"] = sum(pair_butterflies(c) for c in state.counters.values())
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +236,7 @@ def fold_and_halve(
     )
     missing = [aid for aid, got in received.items() if got != total]
     if missing:
-        raise AssertionError(f"agents {missing} missed the total broadcast")
+        raise PhaseInvariantError("total_push", missing, f"did not receive the total {total}")
     return total, fold, push
 
 
@@ -249,52 +244,26 @@ def count_butterflies(
     graph,
     config: SimConfig,
     *,
-    mirror: bool = True,
     max_rounds: int | None = None,
     record_trace: bool = False,
 ) -> ButterflyCount:
     """Elect, scan, count, fold: the whole distributed pipeline.
 
-    With ``mirror`` (the default) phases 1-2 are repeated with the sides
-    swapped so ``per_node`` covers every agent; otherwise the stationary
-    side reports zero.
+    Phases 1-2 run once per side, so ``per_node`` covers every agent and
+    both sides' sweeps check for same-side edges.
     """
-    election = elect_leader_and_tree(
-        graph, config, max_rounds=max_rounds, record_trace=record_trace
-    )
-
-    rounds: dict[str, int] = dict(election.report.rounds_per_phase)
-    peak = dict(election.report.peak_memory_bits)
-    trace = list(election.trace) if record_trace else None
-    clock = election.report.rounds_total
-
-    def merge_peak(result: RunResult) -> None:
-        for aid, bits in result.peak_bits.items():
-            if bits > peak.get(aid, 0):
-                peak[aid] = bits
-
-    def stitch(result: RunResult) -> None:
-        nonlocal clock
-        merge_peak(result)
-        if trace is not None:
-            trace.extend(offset_trace(result.trace, clock))
-        clock += result.rounds
-
+    timeline = Timeline(record_trace)
+    election = _elect(graph, config, timeline, max_rounds)
     per_node: dict[int, int] = {}
 
     def sweep(side: int, tag: str) -> None:
-        r1 = run(
-            graph, config, NeighborScanProgram(side),
-            max_rounds=max_rounds, record_trace=record_trace,
-        )
-        rounds[f"neighbor_scan_{tag}"] = r1.rounds
-        stitch(r1)
-        r2 = run(
-            graph, config, WedgeCountProgram(side),
-            max_rounds=max_rounds, record_trace=record_trace,
-        )
-        rounds[f"wedge_count_{tag}"] = r2.rounds
-        stitch(r2)
+        for phase, program in (
+            ("neighbor_scan_", NeighborScanProgram(side)),
+            ("wedge_count_", WedgeCountProgram(side)),
+        ):
+            timeline.add(phase + tag, run(
+                graph, config, program, max_rounds=max_rounds, record_trace=record_trace
+            ))
         for s in config.states:
             if s.partition == side:
                 per_node[s.id] = s.phase_state["bfly"]
@@ -311,26 +280,16 @@ def count_butterflies(
         value_width=2 * lw + 2 * dw + 2, max_rounds=max_rounds,
         record_trace=record_trace,
     )
-    rounds["total_fold"] = fold.rounds
-    stitch(fold)
-    rounds["total_push"] = push.rounds
-    stitch(push)
+    timeline.add("total_fold", fold)
+    timeline.add("total_push", push)
 
-    if mirror:
-        sweep(1, "b")
-    for s in config.states:
-        per_node.setdefault(s.id, 0)
+    sweep(1, "b")
 
-    report = RunReport(
-        rounds_total=sum(rounds.values()),
-        rounds_per_phase=rounds,
-        peak_memory_bits=peak,
-        outputs={
-            "leader": election.leader_id,
-            "butterflies_total": total,
-            "per_node": dict(sorted(per_node.items())),
-        },
-    )
+    report = timeline.report({
+        "leader": election.leader_id,
+        "butterflies_total": total,
+        "per_node": dict(sorted(per_node.items())),
+    })
     return ButterflyCount(
-        total=total, per_node=per_node, election=election, report=report, trace=trace
+        total=total, per_node=per_node, election=election, report=report, trace=timeline.trace
     )

@@ -44,20 +44,23 @@ from ..runtime import (
     NEVER,
     AgentProgram,
     AgentState,
+    PhaseInvariantError,
     RoundLimitExceeded,
     RunContext,
     RunReport,
     SimConfig,
     Snapshot,
     StepView,
+    Timeline,
     TraceEvent,
-    id_bits,
-    offset_trace,
     run,
 )
-from .known_leader import AggregatePayload, advance_port, first_port
+from .known_leader import (
+    AggregatePayload, absorb_aggregate, advance_port, aggregate_widths,
+    deliver_aggregates, first_port, reset_aggregate,
+)
 from .meeting import make_meeting_id, window_length
-from .treecast import TreeEdgeSet, broadcast_down, tree_from_states
+from .treecast import TreeEdgeSet
 
 
 class ElectionProgram(AgentProgram):
@@ -85,7 +88,6 @@ class ElectionProgram(AgentProgram):
         # zero bit, and complementary halves forbid that for a full window;
         # the cap is pure insurance against a wedged configuration.
         self._retry_cap = ctx.lam + 2
-        dw = max(ctx.max_degree.bit_length(), 1)
         self.scratch_widths = {
             "mydeg": "deg",
             "trip_port": "port",
@@ -95,10 +97,7 @@ class ElectionProgram(AgentProgram):
             "kids": "deg",
             "kids_done": "deg",
             "reported": "bool",
-            "agg_deg": ctx.id_width + dw,
-            "agg_c0": "id",
-            "agg_c1": "id",
-            "agg_max": "deg",
+            **aggregate_widths(ctx),
         }
         for state, deg in zip(states, ctx.degrees):
             self._departs[state.id] = int(make_meeting_id(state.id, ctx.lam).bits, 2)
@@ -116,11 +115,8 @@ class ElectionProgram(AgentProgram):
                 "kids": 0,
                 "kids_done": 0,
                 "reported": False,
-                "agg_deg": deg,
-                "agg_c0": 1,
-                "agg_c1": 0,
-                "agg_max": deg,
             }
+            reset_aggregate(state.phase_state, 0)
             state.wake_round = 0
 
     # -- window bookkeeping -------------------------------------------------
@@ -197,10 +193,7 @@ class ElectionProgram(AgentProgram):
         ps["kids_done"] = 0
         ps["reported"] = False
         ps["retry"] = 0
-        ps["agg_deg"] = ps["mydeg"]
-        ps["agg_c0"] = 1 if partition == 0 else 0
-        ps["agg_c1"] = 1 if partition == 1 else 0
-        ps["agg_max"] = ps["mydeg"]
+        reset_aggregate(ps, partition)
         ps.pop("trip_port", None)
         ps.pop("trip_rep", None)
         ps.pop("trip_done", None)
@@ -231,10 +224,7 @@ class ElectionProgram(AgentProgram):
         for s in visitors:
             if s.treelabel == state.treelabel and s.scratch.get("trip_rep"):
                 ps["kids_done"] += 1
-                ps["agg_deg"] += s.scratch["agg_deg"]
-                ps["agg_c0"] += s.scratch["agg_c0"]
-                ps["agg_c1"] += s.scratch["agg_c1"]
-                ps["agg_max"] = max(ps["agg_max"], s.scratch["agg_max"])
+                absorb_aggregate(ps, s.scratch)
         state.dirty = True
 
     def _visitor_step(self, state: AgentState, view: StepView) -> None:
@@ -360,60 +350,39 @@ def elect_leader_and_tree(
     of the bipartition, and the graph totals ``(n, side counts, max degree,
     degree sum)``.
     """
-    program = ElectionProgram()
-    result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
+    return _elect(graph, config, Timeline(record_trace), max_rounds)
+
+
+def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None):
+    """Add phases ``election`` and ``downcast`` to ``timeline``; the
+    result's report and trace cover the timeline up to the downcast."""
+    result = run(
+        graph, config, ElectionProgram(),
+        max_rounds=max_rounds, record_trace=timeline.trace is not None,
+    )
+    timeline.add("election", result)
 
     roots = [s for s in config.states if s.parent is None]
     if len(roots) != 1:
-        raise AssertionError(f"election left {len(roots)} roots standing")
+        raise PhaseInvariantError(
+            "election", [s.id for s in roots], "are roots; exactly one must remain"
+        )
     leader = roots[0]
     stray = [s.id for s in config.states if s.treelabel != leader.id]
     if stray:
-        raise AssertionError(f"agents {stray} ended on a foreign tree label")
-    ps = leader.phase_state
-    payload = AggregatePayload(
-        degree_sum=ps["agg_deg"],
-        count0=ps["agg_c0"],
-        count1=ps["agg_c1"],
-        max_degree=ps["agg_max"],
+        raise PhaseInvariantError(
+            "election", stray, f"ended on a tree label other than leader {leader.id}"
+        )
+    payload, partition, tree, received = deliver_aggregates(
+        graph, config, leader, timeline, max_rounds
     )
-    partition = {s.id: s.partition for s in config.states}
-    tree = tree_from_states(config.states)
-
-    for s in config.states:  # drop errand bookkeeping before the downcast
-        s.phase_state = {}
-
-    lw = id_bits(config.lam)
-    dw = max(graph.max_degree.bit_length(), 1)
-    value = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
-    received, bresult = broadcast_down(
-        graph,
-        config,
-        tree,
-        value,
-        value_width=3 * lw + dw + (lw + dw),
-        max_rounds=max_rounds,
-        record_trace=record_trace,
-    )
-
-    trace = None
-    if record_trace:
-        trace = list(result.trace) + offset_trace(bresult.trace, result.rounds)
-    peak: dict[int, int] = {}
-    for agent, bits in result.peak_bits.items():
-        peak[agent] = max(bits, bresult.peak_bits.get(agent, 0))
-    report = RunReport(
-        rounds_total=result.rounds + bresult.rounds,
-        rounds_per_phase={"election": result.rounds, "downcast": bresult.rounds},
-        peak_memory_bits=peak,
-        outputs={
-            "leader": leader.id,
-            "n": payload.n,
-            "side_counts": [payload.count0, payload.count1],
-            "max_degree": payload.max_degree,
-            "degree_sum": payload.degree_sum,
-        },
-    )
+    report = timeline.report({
+        "leader": leader.id,
+        "n": payload.n,
+        "side_counts": [payload.count0, payload.count1],
+        "max_degree": payload.max_degree,
+        "degree_sum": payload.degree_sum,
+    })
     return ElectionResult(
         leader_id=leader.id,
         tree=tree,
@@ -421,5 +390,5 @@ def elect_leader_and_tree(
         payload=payload,
         received=received,
         report=report,
-        trace=trace,
+        trace=None if timeline.trace is None else list(timeline.trace),
     )

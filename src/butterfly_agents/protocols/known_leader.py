@@ -18,12 +18,15 @@ Once an agent has explored every non-parent port and heard a completion
 report from each child, it carries its completion upward together with
 subtree aggregates (degree sum, per-partition node counts, maximum
 degree).  When the leader completes, it holds the graph totals and
-broadcasts them down the finished tree.
+broadcasts them down the finished tree.  The aggregate helpers and that
+closing broadcast (``deliver_aggregates``) are shared with the leaderless
+election.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from ..runtime import (
     NEVER,
@@ -33,14 +36,17 @@ from ..runtime import (
     RunReport,
     SimConfig,
     StepView,
+    Timeline,
     TraceEvent,
     id_bits,
-    offset_trace,
     run,
 )
 from .treecast import TreeEdgeSet, broadcast_down, tree_from_states
 
-__all__ = ["AggregatePayload", "KnownLeaderResult", "KnownLeaderProgram", "known_leader_tree"]
+__all__ = [
+    "AggregatePayload", "aggregate_widths", "reset_aggregate", "absorb_aggregate",
+    "deliver_aggregates", "KnownLeaderResult", "KnownLeaderProgram", "known_leader_tree",
+]
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,37 @@ class AggregatePayload:
     @property
     def n(self) -> int:
         return self.count0 + self.count1
+
+
+# The subtree aggregate lives in four scratch keys, written only here.
+
+
+def aggregate_widths(ctx: RunContext) -> dict[str, int | str]:
+    """Scratch widths of the subtree aggregate an agent carries."""
+    return {
+        # degree sum of a subtree is at most n * max_degree
+        "agg_deg": ctx.id_width + max(ctx.max_degree.bit_length(), 1),
+        "agg_c0": "id",
+        "agg_c1": "id",
+        "agg_max": "deg",
+    }
+
+
+def reset_aggregate(ps: dict[str, Any], partition: int) -> None:
+    """Restart an agent's aggregate at its own node (reads ``mydeg``)."""
+    deg = ps["mydeg"]
+    ps["agg_deg"] = deg
+    ps["agg_c0"] = 1 if partition == 0 else 0
+    ps["agg_c1"] = 1 if partition == 1 else 0
+    ps["agg_max"] = deg
+
+
+def absorb_aggregate(ps: dict[str, Any], report: Mapping[str, Any]) -> None:
+    """Fold a reporting child's aggregate (its scratch snapshot) into ours."""
+    ps["agg_deg"] += report["agg_deg"]
+    ps["agg_c0"] += report["agg_c0"]
+    ps["agg_c1"] += report["agg_c1"]
+    ps["agg_max"] = max(ps["agg_max"], report["agg_max"])
 
 
 def advance_port(nextport: int, parent: int | None, degree: int) -> int:
@@ -89,11 +126,7 @@ class KnownLeaderProgram(AgentProgram):
             "kids": "deg",
             "kids_done": "deg",
             "reported": "bool",
-            # degree sum of a subtree is at most n * max_degree
-            "agg_deg": ctx.id_width + max(ctx.max_degree.bit_length(), 1),
-            "agg_c0": "id",
-            "agg_c1": "id",
-            "agg_max": "deg",
+            **aggregate_widths(ctx),
         }
         for s, deg in zip(states, ctx.degrees):
             s.phase_state = {"mydeg": deg}
@@ -128,10 +161,7 @@ class KnownLeaderProgram(AgentProgram):
         ps["kids_done"] = 0
         ps["reported"] = False
         ps["rep"] = False
-        ps["agg_deg"] = ps["mydeg"]
-        ps["agg_c0"] = 1 if partition == 0 else 0
-        ps["agg_c1"] = 1 if partition == 1 else 0
-        ps["agg_max"] = ps["mydeg"]
+        reset_aggregate(ps, partition)
         self.assigned_round[state.id] = rnd
         state.dirty = True
 
@@ -174,10 +204,7 @@ class KnownLeaderProgram(AgentProgram):
             if visitor.at_home or not visitor.scratch.get("rep", False):
                 continue
             ps["kids_done"] += 1
-            ps["agg_deg"] += visitor.scratch["agg_deg"]
-            ps["agg_c0"] += visitor.scratch["agg_c0"]
-            ps["agg_c1"] += visitor.scratch["agg_c1"]
-            ps["agg_max"] = max(ps["agg_max"], visitor.scratch["agg_max"])
+            absorb_aggregate(ps, visitor.scratch)
             changed = True
         if changed:
             state.dirty = True
@@ -242,6 +269,34 @@ class KnownLeaderProgram(AgentProgram):
         return bool(state.phase_state.get("reported", False))
 
 
+def deliver_aggregates(
+    graph, config: SimConfig, root: AgentState, timeline: Timeline, max_rounds: int | None
+) -> tuple[AggregatePayload, dict[int, int], TreeEdgeSet, dict[int, tuple]]:
+    """Close a finished tree protocol and push its totals down the tree.
+
+    Reads the root's aggregate, takes the partition and the tree from the
+    agents, drops their scratch, and broadcasts (n, count0, count1, max
+    degree, degree sum) to every agent, added to ``timeline`` as phase
+    ``downcast``.  Returns (payload, partition, tree, received values).
+    """
+    ps = root.phase_state
+    payload = AggregatePayload(ps["agg_deg"], ps["agg_c0"], ps["agg_c1"], ps["agg_max"])
+    partition = {s.id: s.partition for s in config.states}
+    tree = tree_from_states(config.states)
+    for s in config.states:  # aggregates delivered; drop working memory
+        s.phase_state = {}
+
+    lw = id_bits(config.lam)
+    dw = max(graph.max_degree.bit_length(), 1)
+    value = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
+    received, result = broadcast_down(
+        graph, config, tree, value, value_width=3 * lw + dw + (lw + dw),
+        max_rounds=max_rounds, record_trace=timeline.trace is not None,
+    )
+    timeline.add("downcast", result)
+    return payload, partition, tree, received
+
+
 @dataclass
 class KnownLeaderResult:
     tree: TreeEdgeSet
@@ -260,68 +315,36 @@ def known_leader_tree(
     record_trace: bool = False,
 ) -> KnownLeaderResult:
     """Build partitions and a spanning tree from a known leader, then
-    broadcast (n, count0, count1, max degree, degree sum) to every agent."""
+    broadcast (n, count0, count1, max degree, degree sum) to every agent.
+
+    The one tree-building run is reported as two phases: ``assignment``
+    up to the round the last agent took its side, ``aggregation`` after.
+    """
     program = KnownLeaderProgram(leader_id)
+    timeline = Timeline(record_trace)
     result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
+    timeline.add("assignment", result)
+    assignment = max(program.assigned_round.values()) + 1
+    timeline.rounds_per_phase["assignment"] = assignment
+    timeline.rounds_per_phase["aggregation"] = result.rounds - assignment
 
     leader_state = next(s for s in config.states if s.id == leader_id)
-    ps = leader_state.phase_state
-    payload = AggregatePayload(
-        degree_sum=ps["agg_deg"],
-        count0=ps["agg_c0"],
-        count1=ps["agg_c1"],
-        max_degree=ps["agg_max"],
+    payload, partition, tree, received = deliver_aggregates(
+        graph, config, leader_state, timeline, max_rounds
     )
-    partition = {s.id: s.partition for s in config.states}
-    tree = tree_from_states(config.states)
-
-    assigned = max(program.assigned_round.values())
-    assignment_rounds = assigned + 1
-    lw = id_bits(config.lam)
-    dw = max(graph.max_degree.bit_length(), 1)
-
-    for s in config.states:  # aggregates delivered; drop working memory
-        s.phase_state = {}
-
-    value = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
-    received, bresult = broadcast_down(
-        graph,
-        config,
-        tree,
-        value,
-        value_width=3 * lw + dw + (lw + dw),
-        max_rounds=max_rounds,
-        record_trace=record_trace,
-    )
-
-    trace = None
-    if record_trace:
-        trace = list(result.trace) + offset_trace(bresult.trace, result.rounds)
-    peak: dict[int, int] = {}
-    for agent, bits in result.peak_bits.items():
-        peak[agent] = max(bits, bresult.peak_bits.get(agent, 0))
-    report = RunReport(
-        rounds_total=result.rounds + bresult.rounds,
-        rounds_per_phase={
-            "assignment": assignment_rounds,
-            "aggregation": result.rounds - assignment_rounds,
-            "downcast": bresult.rounds,
-        },
-        peak_memory_bits=peak,
-        outputs={
-            "leader": leader_id,
-            "n": payload.n,
-            "count0": payload.count0,
-            "count1": payload.count1,
-            "max_degree": payload.max_degree,
-            "degree_sum": payload.degree_sum,
-        },
-    )
+    report = timeline.report({
+        "leader": leader_id,
+        "n": payload.n,
+        "count0": payload.count0,
+        "count1": payload.count1,
+        "max_degree": payload.max_degree,
+        "degree_sum": payload.degree_sum,
+    })
     return KnownLeaderResult(
         tree=tree,
         partition=partition,
         payload=payload,
         received=received,
         report=report,
-        trace=trace,
+        trace=timeline.trace,
     )

@@ -50,9 +50,6 @@ class MeetingId:
 
     bits: str
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
     def bit(self, i: int) -> int:
         """Bit at LSB index i (i = 0 is the rightmost character)."""
         return int(self.bits[-1 - i])

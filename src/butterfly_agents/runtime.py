@@ -57,6 +57,7 @@ from .graphs import unreachable_count
 __all__ = [
     "IllegalPort",
     "RoundLimitExceeded",
+    "PhaseInvariantError",
     "AgentState",
     "Snapshot",
     "StepView",
@@ -69,6 +70,7 @@ __all__ = [
     "run",
     "RunResult",
     "RunReport",
+    "Timeline",
     "TraceEvent",
     "write_trace_jsonl",
     "NEVER",
@@ -83,6 +85,16 @@ class IllegalPort(RuntimeError):
 
 class RoundLimitExceeded(RuntimeError):
     """The run hit its round budget, or can provably never finish."""
+
+
+class PhaseInvariantError(RuntimeError):
+    """Phase ``phase`` ended with ``agents`` (ids) in a state its protocol
+    rules out."""
+
+    def __init__(self, phase: str, agents: Iterable[int], broken: str):
+        self.phase = phase
+        self.agents = tuple(agents)
+        super().__init__(f"{phase}: agents {list(self.agents)} {broken}")
 
 
 @dataclass(slots=True)
@@ -384,20 +396,36 @@ class RunReport:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    @staticmethod
-    def merge(phases: list[tuple[str, "RunReport"]]) -> "RunReport":
-        rounds_per_phase: dict[str, int] = {}
-        peak: dict[int, int] = {}
-        outputs: dict[str, Any] = {}
-        for name, rep in phases:
-            rounds_per_phase[name] = rep.rounds_total
-            for agent, bits in rep.peak_memory_bits.items():
-                peak[agent] = max(peak.get(agent, 0), bits)
-            outputs.update(rep.outputs)
+
+class Timeline:
+    """The phases of one experiment laid end to end on one round clock.
+
+    Protocols run each phase with ``run`` and hand its result to ``add``,
+    which credits the rounds to the phase, folds the per-agent peaks into
+    running maxima and appends the trace shifted by the rounds before it.
+    ``report`` turns the phases added so far into a ``RunReport``.
+    """
+
+    def __init__(self, record_trace: bool = False):
+        self.rounds = 0
+        self.rounds_per_phase: dict[str, int] = {}
+        self.peak: dict[int, int] = {}
+        self.trace: list[TraceEvent] | None = [] if record_trace else None
+
+    def add(self, name: str, result: RunResult) -> None:
+        peak = self.peak
+        for agent, bits in result.peak_bits.items():
+            peak[agent] = max(bits, peak.get(agent, 0))
+        if self.trace is not None:
+            self.trace.extend(offset_trace(result.trace, self.rounds))
+        self.rounds_per_phase[name] = result.rounds
+        self.rounds += result.rounds
+
+    def report(self, outputs: dict[str, Any]) -> RunReport:
         return RunReport(
-            rounds_total=sum(rounds_per_phase.values()),
-            rounds_per_phase=rounds_per_phase,
-            peak_memory_bits=peak,
+            rounds_total=self.rounds,
+            rounds_per_phase=dict(self.rounds_per_phase),
+            peak_memory_bits=dict(self.peak),
             outputs=outputs,
         )
 

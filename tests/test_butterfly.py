@@ -9,7 +9,7 @@ total; for K_{4,3}, 9 and 12 per node and 18 in total.
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from butterfly_agents.graphs import (
@@ -25,6 +25,7 @@ from butterfly_agents.oracle import (
     oracle_per_node_butterflies,
     oracle_total_butterflies,
 )
+from butterfly_agents.protocols import treecast
 from butterfly_agents.protocols.butterfly import (
     NeighborScanProgram,
     NotBipartiteSwarm,
@@ -35,7 +36,13 @@ from butterfly_agents.protocols.butterfly import (
     pair_butterflies,
 )
 from butterfly_agents.protocols.election import elect_leader_and_tree
-from butterfly_agents.runtime import AgentState, StepView, _snapshot, place_dispersed
+from butterfly_agents.runtime import (
+    AgentState,
+    PhaseInvariantError,
+    StepView,
+    _snapshot,
+    place_dispersed,
+)
 
 
 def count_on(g, ids, **kw):
@@ -74,19 +81,6 @@ def test_path_has_none():
     _, res = count_on(g, ids)
     assert res.total == 0
     assert res.per_node == {a: 0 for a in ids}
-
-
-def test_mirror_off_leaves_zeros_on_the_still_side():
-    g, _ = make_complete_bipartite(3, 3)
-    ids = [4, 2, 7, 1, 5, 3]
-    cfg, res = count_on(g, ids, mirror=False)
-    assert res.total == 9  # the total never needs the mirror pass
-    moved = {a for a, c in res.per_node.items() if c == 6}
-    still = {a for a, c in res.per_node.items() if c == 0}
-    assert len(moved) == 3 and len(still) == 3
-    # the two groups are the two sides of the bipartition
-    sides = {res.election.partition[a] for a in moved}
-    assert len(sides) == 1
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -133,6 +127,25 @@ def test_tampered_fold_is_caught():
         fold_and_halve(g, cfg, election.tree, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8)
 
 
+def test_missed_total_broadcast_is_a_typed_failure(monkeypatch):
+    g, _ = make_complete_bipartite(3, 3)
+    cfg = place_dispersed(g, [4, 2, 7, 1, 5, 3])
+    election = elect_leader_and_tree(g, cfg)
+    real_run = treecast.run
+
+    def corrupting_run(graph, config, program, **kw):
+        result = real_run(graph, config, program, **kw)
+        if isinstance(program, treecast.BroadcastProgram):
+            config.states[2].phase_state["received"] += 1
+        return result
+
+    monkeypatch.setattr(treecast, "run", corrupting_run)
+    values = {s.id: 6 for s in cfg.states}
+    with pytest.raises(PhaseInvariantError, match="did not receive the total 18") as info:
+        fold_and_halve(g, cfg, election.tree, values, value_width=16)
+    assert (info.value.phase, info.value.agents) == ("total_push", (7,))
+
+
 def five_cycle():
     return build_port_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
@@ -164,6 +177,35 @@ def test_same_side_resident_is_a_typed_scan_failure(program):
         program(0).step(mover, view)
     assert (info.value.agent, info.value.port, info.value.round) == (3, 0, 1)
     assert mover.neighbor_list == [] and mover.counters == {}
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random spanning tree on 2-12 nodes plus random extra edges, and
+    distinct random ids; about half of these graphs have an odd cycle."""
+    n = draw(st.integers(2, 12))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - set(tree))
+    extra = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+    ids = draw(st.lists(st.integers(0, 4 * n), min_size=n, max_size=n, unique=True))
+    return n, tree + extra, ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs())
+@example((3, [(0, 1), (1, 2), (0, 2)], [1, 2, 3]))
+def test_non_bipartite_input_always_fails_typed(case):
+    n, edges, ids = case
+    g = build_port_graph(n, edges)
+    try:
+        oracle_coloring(g)
+    except NotBipartite:
+        with pytest.raises(NotBipartiteSwarm):
+            count_on(g, ids)
+        return
+    _, res = count_on(g, ids)
+    assert res.total == oracle_total_butterflies(g)
+    assert res.per_node == oracle_by_agent(g, ids)
 
 
 def test_pipeline_is_deterministic():

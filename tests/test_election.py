@@ -17,8 +17,9 @@ from butterfly_agents.graphs import (
     make_random_connected_bipartite,
 )
 from butterfly_agents.oracle import check_spanning_tree, oracle_coloring
+from butterfly_agents.protocols import election
 from butterfly_agents.protocols.election import elect_leader_and_tree
-from butterfly_agents.runtime import place_dispersed
+from butterfly_agents.runtime import PhaseInvariantError, place_dispersed
 
 
 def elect(g, ids, lam=None, **kw):
@@ -127,3 +128,42 @@ def test_report_phase_split():
     assert set(per) == {"election", "downcast"}
     assert sum(per.values()) == res.report.rounds_total
     assert res.report.outputs["leader"] == 3
+
+
+def corrupt_after_election(monkeypatch, corrupt):
+    """Let the real election run, then hand ``corrupt`` its final states."""
+    real_run = election.run
+
+    def corrupting_run(graph, config, program, **kw):
+        result = real_run(graph, config, program, **kw)
+        corrupt({s.id: s for s in config.states})
+        return result
+
+    monkeypatch.setattr(election, "run", corrupting_run)
+
+
+def test_two_roots_are_a_typed_failure(monkeypatch):
+    g, _ = make_complete_bipartite(3, 3)
+    ids = [4, 2, 7, 1, 5, 3]
+
+    def second_root(states):
+        states[5].parent = None
+
+    corrupt_after_election(monkeypatch, second_root)
+    with pytest.raises(PhaseInvariantError, match="exactly one must remain") as info:
+        elect(g, ids)
+    assert info.value.phase == "election"
+    assert sorted(info.value.agents) == [1, 5]
+
+
+def test_foreign_tree_label_is_a_typed_failure(monkeypatch):
+    g, _ = make_complete_bipartite(3, 3)
+    ids = [4, 2, 7, 1, 5, 3]
+
+    def relabel(states):
+        states[7].treelabel = 2
+
+    corrupt_after_election(monkeypatch, relabel)
+    with pytest.raises(PhaseInvariantError, match="other than leader 1") as info:
+        elect(g, ids)
+    assert (info.value.phase, info.value.agents) == ("election", (7,))

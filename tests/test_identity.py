@@ -15,6 +15,8 @@ import pytest
 
 from butterfly_agents.graphs import make_complete_bipartite, make_random_connected_bipartite
 from butterfly_agents.protocols.butterfly import count_butterflies
+from butterfly_agents.protocols.election import elect_leader_and_tree
+from butterfly_agents.protocols.known_leader import known_leader_tree
 from butterfly_agents.runtime import place_dispersed, write_trace_jsonl
 
 
@@ -53,13 +55,52 @@ PINNED = {
 }
 
 
+# The two tree entry points on their own, pinned at commit 09887c8 before
+# their shared epilogue and the phase timeline went in.  known_leader_tree
+# is told the minimum id, the leader the election finds.
+TREE_PINNED = {
+    ("election", "a8"): (
+        "9b61e0c3a875c9163e039263af729af9080e61ee12b27b8b7bde907cc8abe7a5",
+        "9b8c80ef73f2937df303084abe0a4afd1ff642a69b9d1201a4049f5ba2eafd12",
+    ),
+    ("election", "k34"): (
+        "cc2c4daf4304667cd49737240991738ea1d2d690df8394875683f8e1ff19edb9",
+        "2d5137bd0b5d8940941ac9ce34396dba39fa5fa796edb607a89d239b9ca4699c",
+    ),
+    ("known_leader", "a8"): (
+        "af2103db3011e7340382b7012cd5e5be4e322a40bd95d071580e3018e7cd187f",
+        "77461ffb6041060bd02922dd6daec7ff6a91aa2d43f8efc50577d65bec10d684",
+    ),
+    ("known_leader", "k34"): (
+        "ffa68e21d7383529e3ee510c495d1fab4b10465824a43b8a901a4f9b8aebdd94",
+        "da3b66b71ecdeb91d881df20ff7b1832a589bd703f283f955c69524f5dc2bc3a",
+    ),
+}
+
+
+def digests(res, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    write_trace_jsonl(str(path), res.trace)
+    return (
+        hashlib.sha256(res.report.to_json().encode("utf-8")).hexdigest(),
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+    )
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pipeline_digests_are_pinned(name, tmp_path):
     make, report_digest, trace_digest = PINNED[name]
     g, ids = make()
     res = count_butterflies(g, place_dispersed(g, ids), record_trace=True)
-    path = tmp_path / "trace.jsonl"
-    write_trace_jsonl(str(path), res.trace)
-    got_report = hashlib.sha256(res.report.to_json().encode("utf-8")).hexdigest()
-    got_trace = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert (got_report, got_trace) == (report_digest, trace_digest)
+    assert digests(res, tmp_path) == (report_digest, trace_digest)
+
+
+@pytest.mark.parametrize("entry,name", sorted(TREE_PINNED))
+def test_tree_entry_point_digests_are_pinned(entry, name, tmp_path):
+    g, ids = PINNED[name][0]()
+    config = place_dispersed(g, ids)
+    if entry == "election":
+        res = elect_leader_and_tree(g, config, record_trace=True)
+    else:
+        res = known_leader_tree(g, config, min(ids), record_trace=True)
+    assert digests(res, tmp_path) == TREE_PINNED[entry, name]
