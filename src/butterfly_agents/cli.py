@@ -33,7 +33,7 @@ from .oracle import (
     oracle_per_node_butterflies,
     oracle_total_butterflies,
 )
-from .protocols.butterfly import NotBipartiteSwarm, count_butterflies
+from .protocols.butterfly import PHASES, NotBipartiteSwarm, count_butterflies
 from .protocols.election import elect_leader_and_tree
 from .protocols.known_leader import known_leader_tree
 from .protocols.meeting import MeetingWindowProgram, window_length
@@ -49,16 +49,6 @@ from .runtime import (
 log = logging.getLogger("butterfly_agents")
 
 PROTOCOLS = ("meeting-demo", "known-leader", "election", "butterfly-full")
-SWEEP_PHASES = (
-    "election",
-    "downcast",
-    "neighbor_scan_a",
-    "wedge_count_a",
-    "total_fold",
-    "total_push",
-    "neighbor_scan_b",
-    "wedge_count_b",
-)
 
 
 class CliError(Exception):
@@ -339,7 +329,7 @@ def cmd_sweep(args) -> int:
         writer = csv.writer(out)
         writer.writerow(
             ["n", "max_degree", "min_side", "id_width", "status", "rounds_total"]
-            + list(SWEEP_PHASES)
+            + list(PHASES)
             + ["peak_bits"]
         )
         for a, b in sizes:
@@ -357,14 +347,14 @@ def cmd_sweep(args) -> int:
                 log.warning("sweep point %dx%d failed: %s", a, b, exc)
                 writer.writerow(
                     base + [f"failed:{type(exc).__name__}", ""]
-                    + [""] * len(SWEEP_PHASES) + [""]
+                    + [""] * len(PHASES) + [""]
                 )
                 continue
             rp = res.report.rounds_per_phase
             writer.writerow(
                 base
                 + ["ok", res.report.rounds_total]
-                + [rp.get(p, 0) for p in SWEEP_PHASES]
+                + [rp[p] for p in PHASES]
                 + [max(res.report.peak_memory_bits.values())]
             )
     finally:

@@ -45,6 +45,18 @@ from ..runtime import (
 from .election import ElectionResult, _elect
 from .treecast import TreeEdgeSet, broadcast_down, convergecast
 
+# The pipeline's phases, in the order ``count_butterflies`` reports them.
+PHASES = (
+    "election",
+    "downcast",
+    "neighbor_scan_a",
+    "wedge_count_a",
+    "total_fold",
+    "total_push",
+    "neighbor_scan_b",
+    "wedge_count_b",
+)
+
 
 def pair_butterflies(common: int) -> int:
     """Butterflies spanned by one same-side pair sharing ``common`` neighbors."""
@@ -141,17 +153,12 @@ class LockstepSweep(AgentProgram):
         ps = state.phase_state
         k = view.round // 2
         if view.round % 2 == 0:
-            if k < ps["mydeg"]:
-                state.wake_round = view.round + 1
-                return k
-            return None
+            return k if k < ps["mydeg"] else None
         if view.at_home:  # home on a return round: past its last port, idle
             state.wake_round = NEVER
             return None
         self.visit(state, home_resident(state, view, k), k)
-        if k + 1 < ps["mydeg"]:
-            state.wake_round = view.round + 1
-        else:
+        if k + 1 >= ps["mydeg"]:  # that was the last port
             ps["scan_done"] = True
             self.finish(state)
             state.wake_round = NEVER

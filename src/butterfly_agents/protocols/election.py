@@ -38,7 +38,7 @@ Merge rules (everyone at a node applies them to the same snapshots):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..runtime import (
     NEVER,
@@ -59,7 +59,7 @@ from .known_leader import (
     AggregatePayload, absorb_aggregate, advance_port, aggregate_widths,
     deliver_aggregates, first_port, reset_aggregate,
 )
-from .meeting import make_meeting_id, window_length
+from .meeting import make_meeting_id, next_departure, window_length
 from .treecast import TreeEdgeSet
 
 
@@ -159,15 +159,12 @@ class ElectionProgram(AgentProgram):
         if ps["reported"]:
             state.wake_round = NEVER
             return
-        base = view.round - view.round % self._wlen
+        window_end = view.round - view.round % self._wlen + self._wlen
         if "trip_port" in ps and not ps["trip_done"]:
-            first = view.round - base + 2 >> 1  # the next slot still ahead
-            later = self._departs[state.id] >> first
-            if later:
-                # slot of the lowest set bit at or above ``first``
-                state.wake_round = base + 2 * (first + (later & -later).bit_length() - 1)
-                return
-        state.wake_round = base + self._wlen
+            departs = next_departure(self._departs[state.id], self._wlen, view.round + 1)
+            state.wake_round = min(departs, window_end)
+        else:
+            state.wake_round = window_end
 
     # -- merge rules ----------------------------------------------------------
 
@@ -306,7 +303,6 @@ class ElectionProgram(AgentProgram):
                 and not ps["trip_done"]
                 and self._departs[state.id] >> (pos >> 1) & 1
             ):
-                state.wake_round = view.round + 1
                 return ps["trip_port"]
             self._arm_wake(state, view)
             return None
@@ -350,12 +346,14 @@ def elect_leader_and_tree(
     of the bipartition, and the graph totals ``(n, side counts, max degree,
     degree sum)``.
     """
-    return _elect(graph, config, Timeline(record_trace), max_rounds)
+    timeline = Timeline(record_trace)
+    # this timeline holds only these two phases, so its trace is the result's
+    return replace(_elect(graph, config, timeline, max_rounds), trace=timeline.trace)
 
 
 def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None):
     """Add phases ``election`` and ``downcast`` to ``timeline``; the
-    result's report and trace cover the timeline up to the downcast."""
+    result's report covers the timeline up to the downcast, its trace is None."""
     result = run(
         graph, config, ElectionProgram(),
         max_rounds=max_rounds, record_trace=timeline.trace is not None,
@@ -390,5 +388,4 @@ def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None)
         payload=payload,
         received=received,
         report=report,
-        trace=None if timeline.trace is None else list(timeline.trace),
     )

@@ -137,7 +137,6 @@ class KnownLeaderProgram(AgentProgram):
             s.completion = False
             s.nextport = 0
             s.wake_round = NEVER
-            s.dirty = True
             if s.id == self.leader_id:
                 self._assign(s, 0, None, None, -1)
                 s.leader = True
@@ -193,7 +192,6 @@ class KnownLeaderProgram(AgentProgram):
                     winner.child,
                     view.round,
                 )
-                state.wake_round = view.round + 1
             else:
                 state.wake_round = NEVER
             return None
@@ -211,13 +209,11 @@ class KnownLeaderProgram(AgentProgram):
 
         if view.round % 2 == 0:
             if state.nextport != -1:
-                state.wake_round = view.round + 1
                 return state.nextport
             if ps["kids_done"] == ps["kids"] and not ps["reported"]:
                 if state.parent is not None:
                     ps["rep"] = True
                     state.dirty = True
-                    state.wake_round = view.round + 1
                     return state.parent
                 if not state.completion:
                     state.completion = True
@@ -227,12 +223,11 @@ class KnownLeaderProgram(AgentProgram):
             state.wake_round = NEVER
             return None
 
-        # Odd round at home: wake next even round if anything is pending.
-        if state.nextport != -1 or (
+        # Odd round at home: sleep unless something is pending next round.
+        pending = state.nextport != -1 or (
             ps["kids_done"] == ps["kids"] and not ps["reported"]
-        ):
-            state.wake_round = view.round + 1
-        else:
+        )
+        if not pending:
             state.wake_round = NEVER
         return None
 
@@ -245,8 +240,7 @@ class KnownLeaderProgram(AgentProgram):
                 ps["reported"] = True
                 state.dirty = True
                 state.wake_round = NEVER
-            else:
-                state.wake_round = view.round + 1  # parent was out; try again
+            # else the parent was out: try again next round
             return view.entered_port
         # Exploration visit.
         if resident is not None and resident.partition is None:
@@ -258,7 +252,6 @@ class KnownLeaderProgram(AgentProgram):
                 state.child = state.nextport
         state.nextport = advance_port(state.nextport, state.parent, ps["mydeg"])
         state.dirty = True
-        state.wake_round = view.round + 1
         return view.entered_port
 
     def local_done(self, state: AgentState) -> bool:

@@ -40,6 +40,7 @@ __all__ = [
     "window_schedule",
     "first_separation",
     "simulate_pair",
+    "next_departure",
     "MeetingWindowProgram",
 ]
 
@@ -123,6 +124,21 @@ def simulate_pair(
     return meetings
 
 
+def next_departure(word: int, wlen: int, rnd: int) -> int:
+    """First round at or after ``rnd``, in this window or a later one, on
+    which an agent with meeting word ``word`` (as an int: bit i departs in
+    window round 2i) leaves home; ``NEVER`` if the word has no 1 bit."""
+    if not word:
+        return NEVER
+    base = rnd - rnd % wlen
+    first = (rnd - base + 1) >> 1  # the first slot whose departure is not past
+    later = word >> first
+    if not later:
+        base += wlen
+        first, later = 0, word
+    return base + 2 * (first + (later & -later).bit_length() - 1)
+
+
 class MeetingWindowProgram(AgentProgram):
     """Run aligned meeting windows on a whole graph, Algorithm-style.
 
@@ -143,31 +159,23 @@ class MeetingWindowProgram(AgentProgram):
         self.windows = windows
         self.window = window_length(lam)
         self.meetings: list[tuple[int, int, int]] = []
-        self._schedules: dict[int, tuple[str | None, ...]] = {}
+        self._words: dict[int, int] = {}  # agent id -> meeting word as an int
 
     def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
         for s in states:
             target = self.targets.get(s.id)
-            mid = make_meeting_id(s.id, self.lam)
-            self._schedules[s.id] = window_schedule(mid, target is not None)
             if target is not None:
+                self._words[s.id] = int(make_meeting_id(s.id, self.lam).bits, 2)
                 s.phase_state["target"] = target
                 s.phase_state["finished"] = False
                 s.wake_round = self._next_move(s.id, 0)
             else:
                 s.phase_state["finished"] = True  # pure host
                 s.wake_round = NEVER
-            s.dirty = True
 
     def _next_move(self, agent_id: int, rnd: int) -> int:
-        sched = self._schedules[agent_id]
-        limit = self.windows * self.window
-        r = rnd
-        while r < limit:
-            if sched[r % self.window] == "out":
-                return r
-            r += 1
-        return NEVER
+        nxt = next_departure(self._words[agent_id], self.window, rnd)
+        return nxt if nxt < self.windows * self.window else NEVER
 
     def step(self, state: AgentState, view: StepView) -> int | None:
         ps = state.phase_state
@@ -182,14 +190,13 @@ class MeetingWindowProgram(AgentProgram):
                 state.dirty = True
             state.wake_round = nxt
             return view.entered_port  # always come home
-        if not ps["finished"]:
-            sched = self._schedules[state.id]
-            if sched[view.round % self.window] == "out":
-                state.wake_round = view.round + 1
-                return ps["target"]
-            state.wake_round = self._next_move(state.id, view.round + 1)
-        else:
+        if ps["finished"]:
             state.wake_round = NEVER
+            return None
+        nxt = self._next_move(state.id, view.round)
+        if nxt == view.round:
+            return ps["target"]
+        state.wake_round = nxt
         return None
 
     def local_done(self, state: AgentState) -> bool:

@@ -131,7 +131,6 @@ class ConvergecastProgram(AgentProgram):
             # Leaves start reporting immediately; everyone else is woken by
             # arriving children.
             s.wake_round = 0 if s.phase_state["kids_left"] == 0 else NEVER
-            s.dirty = True
 
     def step(self, state: AgentState, view: StepView) -> int | None:
         ps = state.phase_state
@@ -143,7 +142,6 @@ class ConvergecastProgram(AgentProgram):
             if resident is not None:
                 ps["reported"] = True
                 state.dirty = True
-            state.wake_round = view.round + 1
             return view.entered_port
         # Home: fold in any children delivering right now.
         for visitor in view.colocated:
@@ -153,14 +151,10 @@ class ConvergecastProgram(AgentProgram):
             ps["kids_left"] -= 1
             state.dirty = True
         parent = self.tree.parent_port[state.id]
-        if ps["kids_left"] == 0 and not ps["reported"] and parent is not None:
-            if view.round % 2 == 0:
-                state.wake_round = view.round + 1
-                return parent
-            state.wake_round = view.round + 1  # depart next (even) round
-        else:
+        if ps["kids_left"] or ps["reported"] or parent is None:
             state.wake_round = NEVER
-        return None
+            return None
+        return parent if view.round % 2 == 0 else None  # odd: depart next round
 
     def local_done(self, state: AgentState) -> bool:
         ps = state.phase_state
@@ -211,7 +205,6 @@ class BroadcastProgram(AgentProgram):
                 s.wake_round = NEVER
             else:
                 s.wake_round = 0
-            s.dirty = True
 
     def step(self, state: AgentState, view: StepView) -> int | None:
         ps = state.phase_state
@@ -220,16 +213,11 @@ class BroadcastProgram(AgentProgram):
             if resident is not None and "received" in resident.scratch:
                 ps["received"] = resident.scratch["received"]
                 state.dirty = True
-            state.wake_round = view.round + 1
             return view.entered_port
         if "received" in ps:
             state.wake_round = NEVER
             return None
-        if view.round % 2 == 0:
-            state.wake_round = view.round + 1
-            return self.tree.parent_port[state.id]
-        state.wake_round = view.round + 1
-        return None
+        return self.tree.parent_port[state.id] if view.round % 2 == 0 else None
 
     def local_done(self, state: AgentState) -> bool:
         return "received" in state.phase_state and state.at_home

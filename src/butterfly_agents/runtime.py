@@ -15,11 +15,21 @@ written in the current round; what an agent observes is its own state, the
 degree of the node it stands on, its port of entry, and snapshots of the
 agents standing at the same node.
 
-To keep long runs cheap the engine keeps a wake calendar: a program sets
-``state.wake_round`` to the next round it needs attention, and is stepped
-earlier only if other agents stand at its node at the start of a round.
-Sleeping agents stay put by definition, so skipping their steps is
-behavior-preserving (exercised by an always-step equivalence test).
+The engine-program contract:
+
+* A :class:`Snapshot` holds only what some program reads of another
+  agent: id, at-home flag, entry port, side, ``child`` port, tree label,
+  and round-start copies of its neighbor table and scratch.
+* Before each step the engine sets ``state.wake_round`` to the next
+  round; a program sets it only to sleep (``NEVER``) or to wake later.
+  An agent is stepped in its wake round, and earlier only if others stand
+  at its node at the start of a round.  Sleeping agents stay put, so
+  skipping their steps is behavior-preserving (an always-step
+  equivalence test exercises this).
+* Memory depends only on which scratch keys are live and on the table
+  lengths, so a step that changes either sets ``state.dirty`` and the
+  engine re-accounts the agent.  ``on_start`` need not: every agent is
+  accounted after it.
 
 Per-round cost model.  Host work in a round is proportional to the agents
 stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
@@ -47,7 +57,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Any, Iterable, Mapping, NamedTuple
@@ -133,19 +142,15 @@ class AgentState:
 
 
 class Snapshot(NamedTuple):
-    """Round-start view of an agent, as co-located agents see it."""
+    """Round-start view of an agent, as co-located agents see it: only the
+    fields some program reads of another agent."""
 
     id: int
     at_home: bool
     entered_port: int | None
     partition: int | None
-    parent: int | None
     child: int | None
-    sibling: int | None
-    nextport: int
-    completion: bool
     treelabel: int
-    leader: bool
     neighbor_list: tuple[tuple[int, int], ...]
     scratch: Mapping[str, Any]
 
@@ -160,13 +165,8 @@ def _snapshot(state: AgentState) -> Snapshot:
         state.current_node == state.home_node,
         state.entered_port,
         state.partition,
-        state.parent,
         state.child,
-        state.sibling,
-        state.nextport,
-        state.completion,
         state.treelabel,
-        state.leader,
         tuple(nl) if nl else (),
         dict(state.phase_state),
     ))
@@ -197,7 +197,12 @@ class AgentProgram:
         raise NotImplementedError
 
     def step(self, state: AgentState, view: StepView) -> int | None:
-        """Compute + Move for one agent.  Return a port number or None."""
+        """Compute + Move for one agent.  Return a port number or None.
+
+        ``state.wake_round`` arrives as ``view.round + 1``; change it only
+        to sleep or wake later.  Set ``state.dirty`` if a scratch key came
+        or went or a table changed length.
+        """
         raise NotImplementedError
 
     def local_done(self, state: AgentState) -> bool:
@@ -262,21 +267,21 @@ def place_dispersed(graph, ids: Iterable[int], lam: int | None = None) -> SimCon
 
 
 def id_bits(lam: int) -> int:
-    """Width of an agent id / treelabel field: max(1, ceil(log2(lam + 1)))."""
-    return max(1, math.ceil(math.log2(lam + 1))) if lam > 0 else 1
+    """Width of an agent id / treelabel field: the bits of ``lam``, at least 1."""
+    return max(lam.bit_length(), 1)
 
 
 def port_bits(delta: int) -> int:
-    """Width of a port-valued variable: ceil(log2(delta + 1)) + 1.
+    """Width of a port-valued variable: the bits of ``delta``, plus 1.
 
     The +1 pays for the "none / exhausted" sentinel every port variable
     needs.
     """
-    return (math.ceil(math.log2(delta + 1)) if delta > 0 else 0) + 1
+    return delta.bit_length() + 1
 
 
 def _degree_bits(delta: int) -> int:
-    return math.ceil(math.log2(delta + 1)) if delta > 0 else 0
+    return delta.bit_length()
 
 
 class _Widths(NamedTuple):
@@ -373,7 +378,6 @@ class RunResult:
     rounds: int
     peak_bits: dict[int, int]
     trace: list[TraceEvent] | None
-    comms: list[tuple[int, int, int]] | None  # (round, reader id, read id)
 
 
 @dataclass
@@ -446,7 +450,6 @@ def run(
     *,
     max_rounds: int | None = None,
     record_trace: bool = False,
-    record_comms: bool = False,
     always_step: bool = False,
 ) -> RunResult:
     """Drive ``program`` on ``config`` until every agent reports done.
@@ -505,7 +508,6 @@ def run(
     heappush = heapq.heappush
 
     trace: list[TraceEvent] | None = [] if record_trace else None
-    comms: list[tuple[int, int, int]] | None = [] if record_comms else None
 
     rnd = 0
     while undone > 0:
@@ -559,11 +561,8 @@ def run(
             state = by_id[r]
             node = state.current_node
             colocated = colocated_of.get(r, ())
-            if comms is not None:
-                for other in colocated:
-                    comms.append((rnd, state.id, other.id))
             deg = degree[node]
-            state.wake_round = rnd + 1  # default; programs override
+            state.wake_round = rnd + 1  # the default; programs set only later rounds
             port = step(state, _new_record(StepView, (
                 rnd, node == state.home_node, state.entered_port, deg, colocated
             )))
@@ -621,4 +620,4 @@ def run(
 
         rnd += 1
 
-    return RunResult(rounds=rnd, peak_bits=peak, trace=trace, comms=comms)
+    return RunResult(rounds=rnd, peak_bits=peak, trace=trace)

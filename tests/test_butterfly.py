@@ -27,6 +27,7 @@ from butterfly_agents.oracle import (
 )
 from butterfly_agents.protocols import treecast
 from butterfly_agents.protocols.butterfly import (
+    PHASES,
     NeighborScanProgram,
     NotBipartiteSwarm,
     OddButterflySum,
@@ -115,6 +116,19 @@ def test_phase_round_budgets():
         assert per[key] <= 2 * delta, (key, per[key])
     assert per["total_fold"] + per["total_push"] <= 8 * 5 + 4
     assert sum(per.values()) == res.report.rounds_total
+
+
+def test_report_lists_the_pipeline_phases_in_order():
+    g, _ = make_random_connected_bipartite(3, 4, edge_prob=0.6, seed=4)
+    _, res = count_on(g, [5, 0, 3, 6, 1, 4, 2])
+    assert tuple(res.report.rounds_per_phase) == PHASES
+
+
+def test_traced_pipeline_keeps_one_trace():
+    g, _ = make_random_connected_bipartite(3, 4, edge_prob=0.6, seed=4)
+    _, res = count_on(g, [5, 0, 3, 6, 1, 4, 2], record_trace=True)
+    assert res.election.trace is None  # the election prefix lives in res.trace
+    assert len(res.trace) == res.report.rounds_total * g.node_count
 
 
 def test_tampered_fold_is_caught():

@@ -110,6 +110,24 @@ def test_random_bipartite_graphs(seed):
     assert roots[0].completion and roots[0].leader
 
 
+@pytest.mark.parametrize("lam", [2**49, 2**53, 2**64], ids=["2^49", "2^53", "2^64"])
+def test_two_node_election_under_huge_id_bounds(lam):
+    # ids 0 and lam need exact id widths: with floats, 2**49 measured 49 bits
+    # and the two meeting words never separated inside a window
+    g, _ = make_path(2)
+    _, res = elect(g, [0, lam], lam=lam)
+    assert res.leader_id == 0
+    assert_election_sound(g, [0, lam], res)
+
+
+def test_traced_election_holds_every_agent_every_round():
+    g, _ = make_random_connected_bipartite(4, 4, edge_prob=0.5, seed=11)
+    ids = [9, 14, 3, 8, 1, 12, 6, 0]
+    _, res = elect(g, ids, record_trace=True)
+    assert len(res.trace) == res.report.rounds_total * len(ids)
+    assert max(ev[0] for ev in res.trace) == res.report.rounds_total - 1
+
+
 def test_election_is_deterministic():
     g, _ = make_random_connected_bipartite(4, 4, edge_prob=0.5, seed=11)
     ids = [9, 14, 3, 8, 1, 12, 6, 0]

@@ -7,6 +7,7 @@ followed by the id itself, read MSB first.  For ids 2 and 6 under bound
 2 has a 1 and agent 6 a 0 is 6, so agent 2 visits agent 6 in slot 6.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,12 @@ from butterfly_agents.protocols.meeting import (
     MeetingWindowProgram,
     first_separation,
     make_meeting_id,
+    next_departure,
     simulate_pair,
     window_length,
     window_schedule,
 )
-from butterfly_agents.runtime import place_dispersed, run
+from butterfly_agents.runtime import NEVER, place_dispersed, run
 
 
 def test_meeting_words_for_the_worked_pair():
@@ -73,6 +75,26 @@ def test_schedule_departs_exactly_on_one_bits():
         else:
             assert sched[2 * i] is None and sched[2 * i + 1] is None
     assert window_schedule(m, False) == (None,) * 16
+
+
+def test_next_departure_matches_the_schedule_across_windows():
+    lam = 15
+    wlen = window_length(lam)
+    for agent in range(lam + 1):
+        m = make_meeting_id(agent, lam)
+        sched = window_schedule(m, True)
+        word = int(m.bits, 2)
+        for rnd in range(3 * wlen):
+            want = next(r for r in range(rnd, rnd + 2 * wlen) if sched[r % wlen] == "out")
+            assert next_departure(word, wlen, rnd) == want, (agent, rnd)
+    assert next_departure(0, wlen, 5) == NEVER
+
+
+@pytest.mark.parametrize("lam", [2**49, 2**53, 2**64])
+def test_extreme_ids_separate_under_huge_bounds(lam):
+    u, v = make_meeting_id(0, lam), make_meeting_id(lam, lam)
+    assert len(u.bits) == len(v.bits) == 2 * lam.bit_length()
+    assert simulate_pair(u, v) != []
 
 
 def test_simulate_pair_worked_example():

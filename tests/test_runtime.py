@@ -1,10 +1,13 @@
 """Engine semantics: scheduling, movement, memory accounting, determinism."""
 
+import functools
 import json
 import operator
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butterfly_agents.graphs import (
     build_port_graph,
@@ -25,9 +28,12 @@ from butterfly_agents.runtime import (
     AgentState,
     IllegalPort,
     RoundLimitExceeded,
+    _degree_bits,
     account_memory,
+    id_bits,
     offset_trace,
     place_dispersed,
+    port_bits,
     run,
     write_trace_jsonl,
 )
@@ -196,6 +202,20 @@ class Scripted(AgentProgram):
         return state.wake_round == NEVER and state.at_home
 
 
+def record_reads(program):
+    """Wrap ``program.step`` to log (round, reader id, read id) for every
+    co-located snapshot an agent is handed; returns the log."""
+    reads = []
+    step = program.step
+
+    def logged_step(state, view):
+        reads.extend((view.round, state.id, other.id) for other in view.colocated)
+        return step(state, view)
+
+    program.step = logged_step
+    return reads
+
+
 def test_place_dispersed_shape():
     g, _ = make_path(3)
     cfg = place_dispersed(g, [5, 1, 3])
@@ -238,6 +258,18 @@ def test_fresh_agent_memory_is_24_bits():
     # id width 4 (bound 15), port width 3 (degree 3): 2*4 + 4*3 + 4 flag bits
     s = AgentState(id=2, home_node=0, current_node=0)
     assert account_memory(s, lam=15, delta=3) == 24
+
+
+def test_widths_are_exact_bit_counts():
+    # every value below 5000 and both sides of every power of two up to
+    # 2**70; floats round log2(2**49 + 1) down to 49, an exact count cannot
+    values = set(range(5000))
+    for k in range(71):
+        values.update((2**k - 1, 2**k, 2**k + 1))
+    for x in sorted(values):
+        bits = x.bit_length()  # the least w with x < 2**w
+        assert x < 2**bits and (x == 0 or x >= 2 ** (bits - 1))
+        assert (id_bits(x), port_bits(x), _degree_bits(x)) == (max(bits, 1), bits + 1, bits), x
 
 
 def test_scratch_and_table_accounting():
@@ -367,21 +399,25 @@ def test_sleeping_forever_while_undone_raises():
 def test_simultaneous_moves_swap_without_meeting():
     g, _ = make_path(2)
     cfg = place_dispersed(g, [0, 1])
-    result = run(g, cfg, CrossOver(), record_comms=True)
+    program = CrossOver()
+    comms = record_reads(program)
+    run(g, cfg, program)
     assert all(s.phase_state["alone_abroad"] for s in cfg.states)
     assert all(s.at_home for s in cfg.states)
-    assert result.comms == []  # nobody ever shared a node
+    assert comms == []  # nobody ever shared a node
 
 
 def test_crowd_wakes_everyone_and_comms_are_symmetric():
     g, _ = make_path(3)
     cfg = place_dispersed(g, [4, 5, 6])
-    result = run(g, cfg, Converge(), record_comms=True)
+    program = Converge()
+    comms = record_reads(program)
+    run(g, cfg, program)
     # both path ends visited the middle at round 1: a three-agent crowd
     assert cfg.states[1].counters == {4: 1, 6: 1}
     assert cfg.states[0].counters == {5: 1, 6: 1}
     assert cfg.states[2].counters == {4: 1, 5: 1}
-    seen = set(result.comms)
+    seen = set(comms)
     assert seen and all((r, b, a) in seen for r, a, b in seen)
 
 
@@ -476,20 +512,48 @@ def convergecast_case():
 def test_lazy_and_always_step_agree(case):
     def one_run(always_step):
         g, cfg, program = case()
-        res = run(
-            g,
-            cfg,
-            program,
-            record_trace=True,
-            record_comms=True,
-            always_step=always_step,
-        )
+        comms = record_reads(program)
+        res = run(g, cfg, program, record_trace=True, always_step=always_step)
         finals = [(s.id, s.current_node) for s in cfg.states]
-        return res.rounds, dict(res.peak_bits), finals, sorted(res.trace), res.comms
+        return res.rounds, dict(res.peak_bits), finals, sorted(res.trace), comms
 
     lazy, always = one_run(False), one_run(True)
     assert lazy == always
     assert lazy[0] > 0
+
+
+@st.composite
+def pipeline_inputs(draw):
+    """A random connected bipartite graph with 1-6 nodes per side, distinct
+    random ids, and an id bound of the maximum id, 2**16 or 2**64."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    g, _ = make_random_connected_bipartite(
+        a, b, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**31))
+    )
+    ids = draw(st.lists(st.integers(0, 4 * (a + b)), min_size=a + b, max_size=a + b, unique=True))
+    lam = draw(st.sampled_from([None, 2**16, 2**64]))
+    return g, ids, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(pipeline_inputs())
+def test_lazy_and_always_step_pipelines_agree(case):
+    """Every phase of the whole pipeline, run lazily and with every agent
+    stepped every round, gives the same report and the same trace."""
+    g, ids, lam = case
+
+    def pipeline():
+        res = butterfly_module.count_butterflies(
+            g, place_dispersed(g, ids, lam=lam), record_trace=True
+        )
+        return res.report.to_json(), sorted(res.trace)
+
+    lazy = pipeline()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (election_module, treecast_module, butterfly_module):
+            mp.setattr(module, "run", functools.partial(run, always_step=True))
+        always = pipeline()
+    assert lazy == always
 
 
 def test_colocated_snapshots_are_round_start_copies():
