@@ -323,6 +323,10 @@ def cmd_sweep(args) -> int:
             sizes.append((int(a), int(b)))
         except ValueError as exc:
             raise CliError(f"bad --sizes entry {token!r}, want AxB") from exc
+        if min(sizes[-1]) < 1:
+            raise CliError(f"bad --sizes entry {token!r}: both sides need at least one node")
+    if not 0.0 <= args.edge_prob <= 1.0:
+        raise CliError(f"--edge-prob {args.edge_prob} is outside [0, 1]")
 
     out = sys.stdout if args.out == "-" else open(args.out, "w", newline="", encoding="utf-8")
     try:
@@ -418,7 +422,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RoundLimitExceeded as exc:
-        print(f"round limit: {exc}", file=sys.stderr)
+        where = f"phase {exc.phase}, round {exc.round}"
+        if exc.agent is not None:
+            where += f", agent {exc.agent}"
+        print(f"round limit ({where}): {exc}", file=sys.stderr)
         return 3
 
 

@@ -108,8 +108,10 @@ class LockstepSweep(AgentProgram):
     leaves home, so every visit finds its host.  ``2 * max mover degree``
     rounds in total.  Subclasses supply ``visit`` (a mover's action at the
     host behind port ``k``) and ``finish`` (after its last port); ``host``
-    is what a stationary agent does when stepped.  ``table`` names the
-    per-agent table the sweep fills, emptied for every agent at the start.
+    is what a stationary agent does when stepped.  Each of the three sets
+    ``state.dirty`` when it lengthens a table or adds a scratch key.
+    ``table`` names the per-agent table the sweep fills, emptied for every
+    agent at the start.
     """
 
     table = "neighbor_list"
@@ -162,13 +164,12 @@ class LockstepSweep(AgentProgram):
             ps["scan_done"] = True
             self.finish(state)
             state.wake_round = NEVER
-        state.dirty = True
         return view.entered_port
 
     def local_done(self, state: AgentState) -> bool:
         if state.partition != self.mover_side:
             return True
-        return state.at_home and bool(state.phase_state.get("scan_done"))
+        return state.current_node == state.home_node and bool(state.phase_state.get("scan_done"))
 
 
 class NeighborScanProgram(LockstepSweep):
@@ -179,6 +180,7 @@ class NeighborScanProgram(LockstepSweep):
 
     def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
         state.neighbor_list.append((port, resident.id))
+        state.dirty = True
 
     def host(self, state: AgentState, view: StepView) -> None:
         for s in view.colocated:  # hosts log whoever shows up
@@ -197,12 +199,16 @@ class WedgeCountProgram(LockstepSweep):
 
     def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
         counters = state.counters
+        size = len(counters)
         for _, aid in resident.neighbor_list:
-            if aid != state.id:
-                counters[aid] = counters.get(aid, 0) + 1
+            counters[aid] = counters.get(aid, 0) + 1
+        counters.pop(state.id, None)  # the host's table lists the visitor too
+        if len(counters) != size:
+            state.dirty = True
 
     def finish(self, state: AgentState) -> None:
         state.phase_state["bfly"] = sum(pair_butterflies(c) for c in state.counters.values())
+        state.dirty = True
 
 
 # ---------------------------------------------------------------------------

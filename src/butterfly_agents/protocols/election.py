@@ -121,23 +121,22 @@ class ElectionProgram(AgentProgram):
 
     # -- window bookkeeping -------------------------------------------------
 
-    def _window_start(self, state: AgentState) -> None:
+    def _window_start(self, state: AgentState, rnd: int) -> None:
         ps = state.phase_state
-        if "trip_port" in ps and not ps["trip_done"]:
+        had_trip = "trip_port" in ps
+        if had_trip and not ps["trip_done"]:
             # Defensive only: aligned windows mean residents are always home
             # on odd rounds, so an errand resolves within its first window.
             # Distinct ids bound the population by lam + 1 < cap.
             ps["retry"] += 1
             if ps["retry"] > self._retry_cap:
                 raise RoundLimitExceeded(
+                    self.name, rnd,
                     f"agent {state.id}: errand to port {ps['trip_port']} "
-                    f"unresolved for {ps['retry']} windows"
+                    f"unresolved for {ps['retry']} windows",
+                    agent=state.id,
                 )
-            state.dirty = True
             return
-        ps.pop("trip_port", None)
-        ps.pop("trip_rep", None)
-        ps.pop("trip_done", None)
         if state.nextport != -1:
             ps.update(trip_port=state.nextport, trip_rep=False, trip_done=False, retry=0)
         elif (
@@ -146,10 +145,14 @@ class ElectionProgram(AgentProgram):
             and ps["kids_done"] >= ps["kids"]
         ):
             ps.update(trip_port=state.parent, trip_rep=True, trip_done=False, retry=0)
-        elif state.parent is None and ps["kids_done"] >= ps["kids"] and not state.completion:
-            state.completion = True
-            state.leader = True
-        state.dirty = True
+        else:
+            if had_trip:
+                del ps["trip_port"], ps["trip_rep"], ps["trip_done"]
+            if state.parent is None and ps["kids_done"] >= ps["kids"] and not state.completion:
+                state.completion = True
+                state.leader = True
+        if ("trip_port" in ps) != had_trip:  # the trip keys came or went
+            state.dirty = True
 
     def _arm_wake(self, state: AgentState, view: StepView) -> None:
         ps = state.phase_state
@@ -191,10 +194,9 @@ class ElectionProgram(AgentProgram):
         ps["reported"] = False
         ps["retry"] = 0
         reset_aggregate(ps, partition)
-        ps.pop("trip_port", None)
-        ps.pop("trip_rep", None)
-        ps.pop("trip_done", None)
-        state.dirty = True
+        if "trip_port" in ps:
+            del ps["trip_port"], ps["trip_rep"], ps["trip_done"]
+            state.dirty = True
 
     def _resident_step(self, state: AgentState, view: StepView) -> None:
         visitors = [s for s in view.colocated if not s.at_home]
@@ -222,7 +224,6 @@ class ElectionProgram(AgentProgram):
             if s.treelabel == state.treelabel and s.scratch.get("trip_rep"):
                 ps["kids_done"] += 1
                 absorb_aggregate(ps, s.scratch)
-        state.dirty = True
 
     def _visitor_step(self, state: AgentState, view: StepView) -> None:
         resident = next((s for s in view.colocated if s.at_home), None)
@@ -240,7 +241,6 @@ class ElectionProgram(AgentProgram):
                     return  # parent is being absorbed right now: delivery void
                 ps["reported"] = True
                 ps["trip_done"] = True
-                state.dirty = True
             elif state.treelabel > res_label and pivot_key[0] >= res_label:
                 # Parent switched to a smaller tree while our report was in
                 # flight.  The report is stale; re-attach over the same edge.
@@ -251,7 +251,6 @@ class ElectionProgram(AgentProgram):
             state.child = ps["trip_port"]
             state.nextport = advance_port(ps["trip_port"], state.parent, ps["mydeg"])
             ps["trip_done"] = True
-            state.dirty = True
             return
         if state.treelabel > res_label and pivot_key[0] >= res_label:
             self._adopt_as_visitor(state, resident, others, res_label)
@@ -261,7 +260,6 @@ class ElectionProgram(AgentProgram):
         # restarts its own sweep it covers the edge from its side.
         state.nextport = advance_port(ps["trip_port"], state.parent, ps["mydeg"])
         ps["trip_done"] = True
-        state.dirty = True
 
     def _adopt_as_visitor(
         self,
@@ -296,7 +294,7 @@ class ElectionProgram(AgentProgram):
             # Departure rounds.  Visits never overlap these, so there is
             # nothing to merge; just launch the errand when its slot comes.
             if pos == 0:
-                self._window_start(state)
+                self._window_start(state, view.round)
             ps = state.phase_state
             if (
                 "trip_port" in ps
@@ -315,7 +313,7 @@ class ElectionProgram(AgentProgram):
         return view.entered_port
 
     def local_done(self, state: AgentState) -> bool:
-        if not state.at_home:
+        if state.current_node != state.home_node:
             return False
         if state.parent is None:
             return state.completion

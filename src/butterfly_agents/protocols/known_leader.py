@@ -197,15 +197,11 @@ class KnownLeaderProgram(AgentProgram):
             return None
 
         # Assigned resident: accept completion reports from children.
-        changed = False
         for visitor in view.colocated:
             if visitor.at_home or not visitor.scratch.get("rep", False):
                 continue
             ps["kids_done"] += 1
             absorb_aggregate(ps, visitor.scratch)
-            changed = True
-        if changed:
-            state.dirty = True
 
         if view.round % 2 == 0:
             if state.nextport != -1:
@@ -213,11 +209,8 @@ class KnownLeaderProgram(AgentProgram):
             if ps["kids_done"] == ps["kids"] and not ps["reported"]:
                 if state.parent is not None:
                     ps["rep"] = True
-                    state.dirty = True
                     return state.parent
-                if not state.completion:
-                    state.completion = True
-                    state.dirty = True
+                state.completion = True
                 state.wake_round = NEVER
                 return None
             state.wake_round = NEVER
@@ -238,7 +231,6 @@ class KnownLeaderProgram(AgentProgram):
             if resident is not None:
                 ps["rep"] = False
                 ps["reported"] = True
-                state.dirty = True
                 state.wake_round = NEVER
             # else the parent was out: try again next round
             return view.entered_port
@@ -251,7 +243,6 @@ class KnownLeaderProgram(AgentProgram):
                 ps["kids"] += 1
                 state.child = state.nextport
         state.nextport = advance_port(state.nextport, state.parent, ps["mydeg"])
-        state.dirty = True
         return view.entered_port
 
     def local_done(self, state: AgentState) -> bool:

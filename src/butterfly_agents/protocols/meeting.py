@@ -187,7 +187,6 @@ class MeetingWindowProgram(AgentProgram):
             nxt = self._next_move(state.id, view.round + 1)
             if nxt >= NEVER:
                 ps["finished"] = True
-                state.dirty = True
             state.wake_round = nxt
             return view.entered_port  # always come home
         if ps["finished"]:
@@ -200,4 +199,7 @@ class MeetingWindowProgram(AgentProgram):
         return None
 
     def local_done(self, state: AgentState) -> bool:
-        return bool(state.phase_state.get("finished", True)) and state.at_home
+        return (
+            bool(state.phase_state.get("finished", True))
+            and state.current_node == state.home_node
+        )

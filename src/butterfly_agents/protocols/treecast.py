@@ -141,7 +141,6 @@ class ConvergecastProgram(AgentProgram):
             resident = next((s for s in view.colocated if s.at_home), None)
             if resident is not None:
                 ps["reported"] = True
-                state.dirty = True
             return view.entered_port
         # Home: fold in any children delivering right now.
         for visitor in view.colocated:
@@ -149,7 +148,6 @@ class ConvergecastProgram(AgentProgram):
                 continue
             ps["acc"] = self.combine(ps["acc"], visitor.scratch["acc"])
             ps["kids_left"] -= 1
-            state.dirty = True
         parent = self.tree.parent_port[state.id]
         if ps["kids_left"] or ps["reported"] or parent is None:
             state.wake_round = NEVER
@@ -162,7 +160,7 @@ class ConvergecastProgram(AgentProgram):
             return False
         if self.tree.parent_port[state.id] is None:
             return ps["kids_left"] == 0
-        return bool(ps["reported"]) and state.at_home
+        return bool(ps["reported"]) and state.current_node == state.home_node
 
 
 def convergecast(
@@ -220,7 +218,7 @@ class BroadcastProgram(AgentProgram):
         return self.tree.parent_port[state.id] if view.round % 2 == 0 else None
 
     def local_done(self, state: AgentState) -> bool:
-        return "received" in state.phase_state and state.at_home
+        return "received" in state.phase_state and state.current_node == state.home_node
 
 
 def broadcast_down(

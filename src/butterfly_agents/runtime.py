@@ -27,9 +27,11 @@ The engine-program contract:
   skipping their steps is behavior-preserving (an always-step
   equivalence test exercises this).
 * Memory depends only on which scratch keys are live and on the table
-  lengths, so a step that changes either sets ``state.dirty`` and the
-  engine re-accounts the agent.  ``on_start`` need not: every agent is
-  accounted after it.
+  lengths.  A step sets ``state.dirty`` exactly when it changes either: a
+  scratch key came or went, or ``neighbor_list`` or ``counters`` changed
+  length.  A value write to a key that stays live needs no mark; an extra
+  mark changes no result but costs a recount.  ``on_start`` need not mark:
+  every agent is accounted after it.
 
 Per-round cost model.  Host work in a round is proportional to the agents
 stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
@@ -39,7 +41,8 @@ round once; an entry is live while the agent's ``wake_round`` still names
 that round, so rescheduling never searches the calendar.  Bit widths (id,
 port, degree and every declared scratch key) are resolved into one int
 table per run, after ``on_start``, so a dirty step's accounting is one
-lookup per live scratch key.  At the start of a round each crowded node's
+lookup per live scratch key, and a step that only rewrites values (most
+election steps) costs no accounting at all.  At the start of a round each crowded node's
 snapshot tuple is built once, in ascending id order, and every agent there
 gets that tuple with itself sliced out.  Snapshots are round-start copies:
 the neighbor table and scratch are copied then, so nothing an agent writes
@@ -93,7 +96,17 @@ class IllegalPort(RuntimeError):
 
 
 class RoundLimitExceeded(RuntimeError):
-    """The run hit its round budget, or can provably never finish."""
+    """Phase ``phase`` hit its round budget, or can provably never finish.
+
+    ``round`` is the first round not simulated; ``agent`` is the id of the
+    agent at fault when one agent is, else None.
+    """
+
+    def __init__(self, phase: str, round: int, message: str, agent: int | None = None):
+        self.phase = phase
+        self.round = round
+        self.agent = agent
+        super().__init__(message)
 
 
 class PhaseInvariantError(RuntimeError):
@@ -200,8 +213,9 @@ class AgentProgram:
         """Compute + Move for one agent.  Return a port number or None.
 
         ``state.wake_round`` arrives as ``view.round + 1``; change it only
-        to sleep or wake later.  Set ``state.dirty`` if a scratch key came
-        or went or a table changed length.
+        to sleep or wake later.  Set ``state.dirty`` exactly when a scratch
+        key came or went or a table changed length.  A value write to a
+        live key needs no mark; marking anyway costs a recount per step.
         """
         raise NotImplementedError
 
@@ -513,7 +527,7 @@ def run(
     while undone > 0:
         if rnd >= max_rounds:
             raise RoundLimitExceeded(
-                f"{program.name}: no termination within {max_rounds} rounds"
+                program.name, rnd, f"{program.name}: no termination within {max_rounds} rounds"
             )
 
         # Who needs a step this round?
@@ -526,12 +540,14 @@ def run(
                 # Nothing due and nobody co-located: fast-forward.
                 if not pending:
                     raise RoundLimitExceeded(
-                        f"{program.name}: all agents asleep with {undone} not done"
+                        program.name, rnd,
+                        f"{program.name}: all agents asleep with {undone} not done",
                     )
                 skip_to = pending[0]
                 if skip_to >= max_rounds:
                     raise RoundLimitExceeded(
-                        f"{program.name}: no termination within {max_rounds} rounds"
+                        program.name, rnd,
+                        f"{program.name}: no termination within {max_rounds} rounds",
                     )
                 if trace is not None:
                     here = [(s.id, s.current_node) for s in by_id]

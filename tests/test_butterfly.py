@@ -245,3 +245,46 @@ def test_oracle_agreement_property(seed):
     _, res = count_on(g, ids)
     assert res.total == oracle_total_butterflies(g)
     assert res.per_node == oracle_by_agent(g, ids)
+
+
+@st.composite
+def relabeled_instances(draw):
+    """A connected bipartite graph of 1-6 nodes per side, rebuilt with its
+    edges shuffled, endpoints flipped and a random port order at every
+    node, plus a random permutation of random distinct ids."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    base, _ = make_random_connected_bipartite(
+        a, b, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**31))
+    )
+    edges = [
+        (v, u) if draw(st.booleans()) else (u, v)
+        for u, row in enumerate(base.adjacency)
+        for v, _ in row
+        if u < v
+    ]
+    edges = draw(st.permutations(edges))
+    degree = [0] * base.node_count
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    port_order = {v: draw(st.permutations(range(d))) for v, d in enumerate(degree)}
+    g = build_port_graph(base.node_count, edges, port_order)
+    ids = draw(st.permutations(
+        draw(st.lists(st.integers(0, 4 * (a + b)), min_size=a + b, max_size=a + b, unique=True))
+    ))
+    return base, g, ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_instances())
+def test_counts_survive_port_edge_and_id_relabeling(case):
+    """Relabeling ports, reordering edges and permuting ids changes no
+    count: the total and every node's count are the unrelabeled graph's
+    oracle answers, and the minimum id leads."""
+    base, g, ids = case
+    _, res = count_on(g, ids)
+    assert res.total == oracle_total_butterflies(base)
+    assert {node: res.per_node[aid] for node, aid in enumerate(ids)} == dict(
+        enumerate(oracle_per_node_butterflies(base))
+    )
+    assert res.election.leader_id == min(ids)

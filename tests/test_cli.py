@@ -167,3 +167,22 @@ def test_sweep_marks_failures(tmp_path):
 
 def test_bad_sweep_sizes_is_a_config_error(capsys):
     assert cli.main(["sweep", "--sizes", "banana"]) == 2
+
+
+def test_bad_sweep_shape_or_probability_is_a_config_error(capsys):
+    for argv in (["sweep", "--sizes", "0x3"], ["sweep", "--edge-prob", "1.5"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""  # rejected before the CSV header is written
+        assert err.startswith("error: ")
+
+
+def test_round_limit_line_names_phase_and_round(capsys):
+    rc = cli.main(
+        ["run", "--gen", "complete", "3", "3", "--ids", "seq", "--max-rounds", "5"]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "round limit (phase election, round 5): "
+        "election: no termination within 5 rounds\n"
+    )

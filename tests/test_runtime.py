@@ -1,5 +1,6 @@
 """Engine semantics: scheduling, movement, memory accounting, determinism."""
 
+import collections
 import functools
 import json
 import operator
@@ -17,9 +18,11 @@ from butterfly_agents.graphs import (
 )
 from butterfly_agents.protocols import butterfly as butterfly_module
 from butterfly_agents.protocols import election as election_module
+from butterfly_agents.protocols import known_leader as known_leader_module
 from butterfly_agents.protocols import treecast as treecast_module
 from butterfly_agents.protocols.butterfly import NeighborScanProgram, WedgeCountProgram
 from butterfly_agents.protocols.election import ElectionProgram, elect_leader_and_tree
+from butterfly_agents.protocols.known_leader import known_leader_tree
 from butterfly_agents.protocols.meeting import MeetingWindowProgram
 from butterfly_agents.protocols.treecast import BroadcastProgram, ConvergecastProgram
 from butterfly_agents.runtime import (
@@ -28,6 +31,8 @@ from butterfly_agents.runtime import (
     AgentState,
     IllegalPort,
     RoundLimitExceeded,
+    RunContext,
+    StepView,
     _degree_bits,
     account_memory,
     id_bits,
@@ -396,6 +401,41 @@ def test_sleeping_forever_while_undone_raises():
         run(g, cfg, Sleeper(), max_rounds=100)
 
 
+def test_round_limits_name_the_phase_and_round():
+    class Sleeper(NeverDone):
+        def on_start(self, states, ctx):
+            for s in states:
+                s.wake_round = NEVER
+
+    g, _ = make_path(2)
+    sleeps_past_budget = Scripted({0: 10, 1: 10}, {})
+    for program, max_rounds, rnd, text in (
+        (NeverDone(), 10, 10, "never-done: no termination within 10 rounds"),
+        (Sleeper(), 100, 0, "never-done: all agents asleep with 2 not done"),
+        (sleeps_past_budget, 5, 0, "scripted: no termination within 5 rounds"),
+    ):
+        with pytest.raises(RoundLimitExceeded) as info:
+            run(g, place_dispersed(g, [0, 1]), program, max_rounds=max_rounds)
+        err = info.value
+        assert (err.phase, err.round, err.agent, str(err)) == (program.name, rnd, None, text)
+
+
+def test_election_errand_cap_names_the_agent():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [4, 9])
+    program = ElectionProgram()
+    program.on_start(cfg.states, RunContext(lam=9, id_width=4, max_degree=1, degrees=(1, 1)))
+    state = cfg.states[1]
+    state.phase_state.update(trip_port=0, trip_rep=False, trip_done=False, retry=11)
+    window = program._wlen
+    view = StepView(round=3 * window, at_home=True, entered_port=None, degree_here=1, colocated=())
+    with pytest.raises(RoundLimitExceeded) as info:
+        program.step(state, view)
+    err = info.value
+    assert (err.phase, err.round, err.agent) == ("election", 3 * window, 9)
+    assert str(err) == "agent 9: errand to port 0 unresolved for 12 windows"
+
+
 def test_simultaneous_moves_swap_without_meeting():
     g, _ = make_path(2)
     cfg = place_dispersed(g, [0, 1])
@@ -626,6 +666,112 @@ def test_dirty_gated_peaks_match_a_full_recount(monkeypatch):
         "wedge-count",
     ]
     for name, recount, peak in phases:
+        assert recount == peak, name
+
+
+class StepAudit:
+    """Stands in for ``run``: wraps the program's ``on_start`` and ``step``
+    to recount every agent with the public ``account_memory`` after
+    ``on_start`` and after every step, and to check each step's ``dirty``
+    mark against whether the step changed the live scratch keys or a table
+    length."""
+
+    def __init__(self):
+        self.phases = []  # (program name, recounted peaks, engine peaks)
+        self.steps = collections.Counter()  # (program name, dirty) -> steps
+        self.wrong_marks = []  # (program name, round, agent id, dirty, changed)
+
+    def __call__(self, graph, config, program, **kwargs):
+        recount = {}
+
+        def account(state):
+            bits = account_memory(state, config.lam, graph.max_degree, program.scratch_widths)
+            recount[state.id] = max(recount.get(state.id, 0), bits)
+
+        def shape(state):
+            return sorted(state.phase_state), len(state.neighbor_list), len(state.counters)
+
+        on_start, step = program.on_start, program.step
+
+        def audited_on_start(states, ctx):
+            on_start(states, ctx)
+            for s in states:
+                account(s)
+
+        def audited_step(state, view):
+            before = shape(state)
+            port = step(state, view)
+            changed = shape(state) != before
+            self.steps[program.name, state.dirty] += 1
+            if state.dirty != changed:
+                self.wrong_marks.append((program.name, view.round, state.id, state.dirty, changed))
+            account(state)
+            return port
+
+        program.on_start = audited_on_start
+        program.step = audited_step
+        result = run(graph, config, program, **kwargs)
+        self.phases.append((program.name, recount, result.peak_bits))
+        return result
+
+
+AUDITED_MODULES = (election_module, known_leader_module, treecast_module, butterfly_module)
+
+
+def audit_instance(name):
+    if name == "A8":
+        g, _ = make_random_connected_bipartite(9, 11, edge_prob=0.4, seed=5)
+        return g, random.Random(5).sample(range(64), 20)
+    g, _ = make_complete_bipartite(3, 4)
+    return g, [9, 2, 12, 5, 0, 7, 3]
+
+
+def meeting_program(ids, lam):
+    """Every other agent plays two windows toward port 0; the rest host."""
+    targets = {aid: 0 if k % 2 == 0 else None for k, aid in enumerate(ids)}
+    return MeetingWindowProgram(lam, targets, windows=2)
+
+
+@pytest.mark.parametrize("instance", ["A8", "K34"])
+def test_dirty_marks_are_exact(instance, monkeypatch):
+    """Every step of every program marks ``dirty`` exactly when it changed
+    the live scratch keys or a table length: no value-only write is
+    marked (a wasted recount) and no shape change goes unmarked (a missed
+    peak)."""
+    g, ids = audit_instance(instance)
+    audit = StepAudit()
+    for module in AUDITED_MODULES:
+        monkeypatch.setattr(module, "run", audit)
+    butterfly_module.count_butterflies(g, place_dispersed(g, ids))
+    known_leader_tree(g, place_dispersed(g, ids), leader_id=ids[3])
+    cfg = place_dispersed(g, ids)
+    audit(g, cfg, meeting_program(ids, cfg.lam))
+    assert audit.wrong_marks == []
+    stepped = {name for name, _ in audit.steps}
+    assert stepped == {
+        "election", "broadcast-down", "neighbor-scan", "wedge-count",
+        "convergecast", "known-leader-tree", "meeting-window",
+    }
+    # value-only steps exist in both the election and the wedge count
+    assert audit.steps["election", False] > audit.steps["election", True] > 0
+    assert audit.steps["wedge-count", False] > 0
+
+
+@pytest.mark.parametrize("instance", ["A8", "K34"])
+def test_dirty_gated_peaks_match_a_full_recount_beyond_the_pipeline(instance, monkeypatch):
+    """The recount check of the pipeline, for the known-leader tree (with
+    its downcast) and the meeting windows."""
+    g, ids = audit_instance(instance)
+    audit = StepAudit()
+    for module in AUDITED_MODULES:
+        monkeypatch.setattr(module, "run", audit)
+    known_leader_tree(g, place_dispersed(g, ids), leader_id=min(ids))
+    cfg = place_dispersed(g, ids)
+    audit(g, cfg, meeting_program(ids, cfg.lam))
+    assert [name for name, _, _ in audit.phases] == [
+        "known-leader-tree", "broadcast-down", "meeting-window",
+    ]
+    for name, recount, peak in audit.phases:
         assert recount == peak, name
 
 
