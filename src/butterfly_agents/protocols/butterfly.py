@@ -70,34 +70,18 @@ class OddButterflySum(RuntimeError):
 
 class NotBipartiteSwarm(RuntimeError):
     """Raised when a scanning agent crosses an edge between two nodes of the
-    same side: the graph has an odd cycle, so no 2-coloring exists."""
+    same side: the graph has an odd cycle, so no 2-coloring exists.
+    ``phase`` is the sweeping program's name."""
 
-    def __init__(self, agent: int, port: int, round: int, found: str):
+    def __init__(self, phase: str, agent: int, port: int, round: int, found: str):
         super().__init__(
             f"agent {agent} went through port {port} and found {found} in "
             f"round {round}: the graph has an odd cycle"
         )
+        self.phase = phase
         self.agent = agent
         self.port = port
         self.round = round
-
-
-def home_resident(state: AgentState, view: StepView, port: int) -> Snapshot:
-    """The resident a mover finds home behind ``port`` on its return round.
-
-    In a 2-colored swarm the host across any edge is on the other side and
-    never leaves home during a sweep.  Finding nobody home, or a resident
-    of the mover's own side, means the edge joins two same-side nodes.
-    """
-    for s in view.colocated:
-        if s.at_home:
-            if s.partition != state.partition:
-                return s
-            found = f"agent {s.id} of its own side at home"
-            break
-    else:
-        found = "nobody at home"
-    raise NotBipartiteSwarm(state.id, port, view.round, found)
 
 
 class LockstepSweep(AgentProgram):
@@ -115,6 +99,7 @@ class LockstepSweep(AgentProgram):
     """
 
     table = "neighbor_list"
+    published: frozenset[str] = frozenset()
 
     def __init__(self, mover_side: int):
         self.mover_side = mover_side
@@ -125,6 +110,24 @@ class LockstepSweep(AgentProgram):
 
     def finish(self, state: AgentState) -> None:
         pass
+
+    def home_resident(self, state: AgentState, view: StepView, port: int) -> Snapshot:
+        """The resident a mover finds home behind ``port`` on its return round.
+
+        In a 2-colored swarm the host across any edge is on the other side
+        and never leaves home during a sweep.  Finding nobody home, or a
+        resident of the mover's own side, means the edge joins two
+        same-side nodes.
+        """
+        for s in view.colocated:
+            if s.at_home:
+                if s.partition != state.partition:
+                    return s
+                found = f"agent {s.id} of its own side at home"
+                break
+        else:
+            found = "nobody at home"
+        raise NotBipartiteSwarm(self.name, state.id, port, view.round, found)
 
     def host(self, state: AgentState, view: StepView) -> None:
         pass
@@ -159,7 +162,7 @@ class LockstepSweep(AgentProgram):
         if view.at_home:  # home on a return round: past its last port, idle
             state.wake_round = NEVER
             return None
-        self.visit(state, home_resident(state, view, k), k)
+        self.visit(state, self.home_resident(state, view, k), k)
         if k + 1 >= ps["mydeg"]:  # that was the last port
             ps["scan_done"] = True
             self.finish(state)
@@ -196,6 +199,7 @@ class WedgeCountProgram(LockstepSweep):
 
     name = "wedge-count"
     table = "counters"
+    published = frozenset(("neighbor_list",))
 
     def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
         counters = state.counters

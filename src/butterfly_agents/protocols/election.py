@@ -56,7 +56,7 @@ from ..runtime import (
     run,
 )
 from .known_leader import (
-    AggregatePayload, absorb_aggregate, advance_port, aggregate_widths,
+    AGGREGATE_KEYS, AggregatePayload, absorb_aggregate, advance_port, aggregate_widths,
     deliver_aggregates, first_port, reset_aggregate,
 )
 from .meeting import make_meeting_id, next_departure, window_length
@@ -73,6 +73,7 @@ class ElectionProgram(AgentProgram):
     """
 
     name = "election"
+    published = frozenset(("trip_rep", *AGGREGATE_KEYS))
 
     def __init__(self) -> None:
         self.scratch_widths: dict[str, int | str] = {}
@@ -199,11 +200,18 @@ class ElectionProgram(AgentProgram):
             state.dirty = True
 
     def _resident_step(self, state: AgentState, view: StepView) -> None:
-        visitors = [s for s in view.colocated if not s.at_home]
-        if not visitors:
+        # Views list agents in ascending id, so the first least label is
+        # the pivot's: the least (label, id).
+        visitors = []
+        pivot = None
+        for s in view.colocated:
+            if not s.at_home:
+                visitors.append(s)
+                if pivot is None or s.treelabel < pivot.treelabel:
+                    pivot = s
+        if pivot is None:
             return
         ps = state.phase_state
-        pivot = min(visitors, key=lambda s: (s.treelabel, s.id))
         if pivot.treelabel < state.treelabel:
             self._adopt(
                 state,
@@ -213,10 +221,7 @@ class ElectionProgram(AgentProgram):
                 sibling=pivot.child,
             )
             return
-        adopters = sorted(
-            (s for s in visitors if s.treelabel > state.treelabel),
-            key=lambda s: s.id,
-        )
+        adopters = [s for s in visitors if s.treelabel > state.treelabel]
         if adopters:
             ps["kids"] += len(adopters)
             state.child = adopters[-1].entered_port
@@ -226,14 +231,20 @@ class ElectionProgram(AgentProgram):
                 absorb_aggregate(ps, s.scratch)
 
     def _visitor_step(self, state: AgentState, view: StepView) -> None:
-        resident = next((s for s in view.colocated if s.at_home), None)
+        resident = None
+        others = []
+        pivot_key = (state.treelabel, state.id)
+        for s in view.colocated:
+            if s.at_home:
+                resident = s
+            else:
+                others.append(s)
+                key = (s.treelabel, s.id)
+                if key < pivot_key:
+                    pivot_key = key
         if resident is None:
             return  # target is abroad this slot; a later slot will catch it
         ps = state.phase_state
-        others = [s for s in view.colocated if not s.at_home]
-        pivot_key = min(
-            [(s.treelabel, s.id) for s in others] + [(state.treelabel, state.id)]
-        )
         res_label = resident.treelabel
         if ps["trip_rep"]:
             if state.treelabel == res_label:
@@ -269,10 +280,7 @@ class ElectionProgram(AgentProgram):
         res_label: int,
     ) -> None:
         """Attach to the resident, slotting into the sibling chain by id."""
-        rivals = sorted(
-            [s for s in others if s.treelabel > res_label],
-            key=lambda s: s.id,
-        )
+        rivals = [s for s in others if s.treelabel > res_label]  # ascending id
         rank = sum(1 for s in rivals if s.id < state.id)
         if rank == 0:
             sibling = resident.child

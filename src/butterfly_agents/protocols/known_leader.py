@@ -44,7 +44,8 @@ from ..runtime import (
 from .treecast import TreeEdgeSet, broadcast_down, tree_from_states
 
 __all__ = [
-    "AggregatePayload", "aggregate_widths", "reset_aggregate", "absorb_aggregate",
+    "AGGREGATE_KEYS", "AggregatePayload", "aggregate_widths", "reset_aggregate",
+    "absorb_aggregate",
     "deliver_aggregates", "KnownLeaderResult", "KnownLeaderProgram", "known_leader_tree",
 ]
 
@@ -64,6 +65,7 @@ class AggregatePayload:
 
 
 # The subtree aggregate lives in four scratch keys, written only here.
+AGGREGATE_KEYS = ("agg_deg", "agg_c0", "agg_c1", "agg_max")
 
 
 def aggregate_widths(ctx: RunContext) -> dict[str, int | str]:
@@ -110,6 +112,7 @@ def first_port(parent: int | None, degree: int) -> int:
 
 class KnownLeaderProgram(AgentProgram):
     name = "known-leader-tree"
+    published = frozenset(("rep", *AGGREGATE_KEYS))
 
     def __init__(self, leader_id: int):
         self.leader_id = leader_id

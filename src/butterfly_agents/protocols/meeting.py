@@ -152,6 +152,7 @@ class MeetingWindowProgram(AgentProgram):
 
     name = "meeting-window"
     scratch_widths = {"target": "meet", "finished": "bool"}
+    published = frozenset()
 
     def __init__(self, lam: int, targets: dict[int, int | None], windows: int = 1):
         self.lam = lam

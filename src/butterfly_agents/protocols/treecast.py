@@ -104,6 +104,7 @@ class ConvergecastProgram(AgentProgram):
     """
 
     name = "convergecast"
+    published = frozenset(("acc",))
 
     def __init__(
         self,
@@ -138,9 +139,10 @@ class ConvergecastProgram(AgentProgram):
             # Delivering to the parent; it hosts unless it is mid-delivery
             # itself, which cannot happen while it still has children
             # pending - and it does: us.
-            resident = next((s for s in view.colocated if s.at_home), None)
-            if resident is not None:
-                ps["reported"] = True
+            for s in view.colocated:
+                if s.at_home:
+                    ps["reported"] = True
+                    break
             return view.entered_port
         # Home: fold in any children delivering right now.
         for visitor in view.colocated:
@@ -190,6 +192,7 @@ class BroadcastProgram(AgentProgram):
     """Push one value from the root to every agent by parent-side pulls."""
 
     name = "broadcast-down"
+    published = frozenset(("received",))
 
     def __init__(self, tree: TreeEdgeSet, value: Any, value_width: int):
         self.tree = tree
@@ -207,10 +210,12 @@ class BroadcastProgram(AgentProgram):
     def step(self, state: AgentState, view: StepView) -> int | None:
         ps = state.phase_state
         if not view.at_home:
-            resident = next((s for s in view.colocated if s.at_home), None)
-            if resident is not None and "received" in resident.scratch:
-                ps["received"] = resident.scratch["received"]
-                state.dirty = True
+            for s in view.colocated:
+                if s.at_home:
+                    if "received" in s.scratch:
+                        ps["received"] = s.scratch["received"]
+                        state.dirty = True
+                    break
             return view.entered_port
         if "received" in ps:
             state.wake_round = NEVER

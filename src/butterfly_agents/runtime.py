@@ -17,9 +17,12 @@ agents standing at the same node.
 
 The engine-program contract:
 
-* A :class:`Snapshot` holds only what some program reads of another
-  agent: id, at-home flag, entry port, side, ``child`` port, tree label,
-  and round-start copies of its neighbor table and scratch.
+* A :class:`Snapshot` holds only what the program publishes of another
+  agent: the fixed fields (id, at-home flag, entry port, side, ``child``
+  port, tree label), plus a round-start copy of its scratch dict if the
+  program's ``published`` names a scratch key, and of its neighbor table
+  if it names ``"neighbor_list"``.  A program reads no key it does not
+  publish (a test checks every program).
 * Before each step the engine sets ``state.wake_round`` to the next
   round; a program sets it only to sleep (``NEVER``) or to wake later.
   An agent is stepped in its wake round, and earlier only if others stand
@@ -42,27 +45,33 @@ that round, so rescheduling never searches the calendar.  Bit widths (id,
 port, degree and every declared scratch key) are resolved into one int
 table per run, after ``on_start``, so a dirty step's accounting is one
 lookup per live scratch key, and a step that only rewrites values (most
-election steps) costs no accounting at all.  At the start of a round each crowded node's
-snapshot tuple is built once, in ascending id order, and every agent there
-gets that tuple with itself sliced out.  Snapshots are round-start copies:
-the neighbor table and scratch are copied then, so nothing an agent writes
-during its step is visible to another agent before the next round.  The
-round is then one sweep over the stepped agents in ascending rank: each
-is stepped, its move applied, its memory accounted if ``dirty``, its
-done flag updated and its wake scheduled before the next agent's turn.
+election steps) costs no accounting at all.  Each node's occupants are
+kept in rank order as agents arrive and leave, so at the start of a round
+each crowded node's snapshot tuple is built once, in ascending id order,
+with no sort, and every agent there gets that tuple with itself left out.
+A snapshot copies only what the program publishes, so a crowd costs
+nothing for the scratch or tables nobody reads.  Snapshots are round-start
+copies, so nothing an agent writes during its step is visible to another
+agent before the next round.  The round is then one sweep over the stepped
+agents in ascending rank: each is stepped, its move applied, its memory
+accounted if ``dirty``, its done flag updated and its wake scheduled
+before the next agent's turn.
 Because every view was fixed before the sweep began, an early mover never
 shows up in a later agent's view and moves stay simultaneous.  If an agent
-asks for a port its node lacks, ``IllegalPort`` is raised at its turn;
-agents earlier in that sweep have already moved.
+asks for a port its node lacks, ``IllegalPort`` (naming the phase, round
+and agent) is raised at its turn; agents earlier in that sweep have
+already moved.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from bisect import insort
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Any, Iterable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Any, Collection, Iterable, Mapping, NamedTuple
 
 from .graphs import unreachable_count
 
@@ -92,7 +101,14 @@ NEVER = 1 << 62  # wake round meaning "only on co-location"
 
 
 class IllegalPort(RuntimeError):
-    """An agent asked to move through a port its current node lacks."""
+    """Agent ``agent`` (an id) asked, in round ``round`` of phase ``phase``
+    (the engine program's name), to move through a port its node lacks."""
+
+    def __init__(self, phase: str, round: int, message: str, agent: int):
+        self.phase = phase
+        self.round = round
+        self.agent = agent
+        super().__init__(message)
 
 
 class RoundLimitExceeded(RuntimeError):
@@ -156,7 +172,9 @@ class AgentState:
 
 class Snapshot(NamedTuple):
     """Round-start view of an agent, as co-located agents see it: only the
-    fields some program reads of another agent."""
+    fields some program reads of another agent.  ``neighbor_list`` is
+    ``()`` and ``scratch`` an empty mapping unless the program publishes
+    them (see ``AgentProgram.published``)."""
 
     id: int
     at_home: bool
@@ -169,10 +187,14 @@ class Snapshot(NamedTuple):
 
 
 _new_record = tuple.__new__  # builds a NamedTuple without its Python __new__
+# the scratch of every snapshot whose program publishes no scratch key
+_UNPUBLISHED: Mapping[str, Any] = MappingProxyType({})
 
 
 def _snapshot(state: AgentState) -> Snapshot:
-    nl = state.neighbor_list
+    """A round-start snapshot of ``state`` with everything published, as a
+    program with the default ``published`` sees it (the engine builds its
+    snapshots inline)."""
     return _new_record(Snapshot, (
         state.id,
         state.current_node == state.home_node,
@@ -180,7 +202,7 @@ def _snapshot(state: AgentState) -> Snapshot:
         state.partition,
         state.child,
         state.treelabel,
-        tuple(nl) if nl else (),
+        tuple(state.neighbor_list),
         dict(state.phase_state),
     ))
 
@@ -201,10 +223,18 @@ class AgentProgram:
     ``scratch_widths`` declares the bit width of each ``phase_state`` key
     for memory accounting; values are "bool", "port", "deg", "id", "meet",
     or an integer width.
+
+    ``published`` names what co-located agents may read of an agent beyond
+    the fixed snapshot fields: the ``phase_state`` keys they read, plus
+    ``"neighbor_list"`` when they read its neighbor table.  A snapshot
+    copies the whole scratch dict if any scratch key is published and the
+    table if it is; otherwise it holds an empty read-only mapping or ``()``.
+    A program must read no other key.  The default, None, publishes both.
     """
 
     name = "program"
     scratch_widths: Mapping[str, Any] = {}
+    published: Collection[str] | None = None
 
     def on_start(self, states: list[AgentState], ctx: "RunContext") -> None:
         raise NotImplementedError
@@ -495,16 +525,21 @@ def run(
 
     # The engine names agents by rank: position in ascending id order.
     by_id = sorted(states, key=lambda s: s.id)
+    # What a snapshot copies beyond its fixed fields.
+    published = program.published
+    copy_table = published is None or "neighbor_list" in published
+    copy_scratch = published is None or any(k != "neighbor_list" for k in published)
 
     peak: dict[int, int] = {}
     for s in states:
         peak[s.id] = _memory_bits(s, widths)
         s.dirty = False
 
-    occupants: dict[int, list[int]] = {}  # node -> ranks standing there
+    # node -> ranks standing there, ascending
+    occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
     for r, s in enumerate(by_id):
-        occupants.setdefault(s.current_node, []).append(r)
-    crowded: set[int] = {node for node, occ in occupants.items() if len(occ) > 1}
+        occupants[s.current_node].append(r)
+    crowded: set[int] = {node for node, occ in enumerate(occupants) if len(occ) > 1}
 
     done = [local_done(s) for s in by_id]
     undone = sum(1 for d in done if not d)
@@ -563,14 +598,33 @@ def run(
                 due.update(occupants[node])
             active = sorted(due)
 
-        # Communicate: one round-start snapshot tuple per crowded node; each
-        # agent there sees it with itself sliced out.
+        # Communicate: one round-start snapshot tuple per crowded node,
+        # holding what the program publishes; each agent there sees it with
+        # itself sliced out.
         colocated_of: dict[int, tuple[Snapshot, ...]] = {}
         for node in crowded:
-            crowd = sorted(occupants[node])
-            snaps = tuple([_snapshot(by_id[r]) for r in crowd])
-            for k, r in enumerate(crowd):
-                colocated_of[r] = snaps[:k] + snaps[k + 1:]
+            crowd = occupants[node]
+            snaps = []
+            for r in crowd:
+                s = by_id[r]
+                snaps.append(_new_record(Snapshot, (
+                    s.id,
+                    s.home_node == node,
+                    s.entered_port,
+                    s.partition,
+                    s.child,
+                    s.treelabel,
+                    tuple(s.neighbor_list) if copy_table else (),
+                    dict(s.phase_state) if copy_scratch else _UNPUBLISHED,
+                )))
+            if len(crowd) == 2:  # most crowds: a visitor and its host
+                a, b = crowd
+                colocated_of[a] = (snaps[1],)
+                colocated_of[b] = (snaps[0],)
+            else:
+                snaps = tuple(snaps)
+                for k, r in enumerate(crowd):
+                    colocated_of[r] = snaps[:k] + snaps[k + 1:]
 
         # One sweep: compute, move and account each agent in turn.
         for r in active:
@@ -588,25 +642,26 @@ def run(
             else:
                 if not (0 <= port < deg):
                     raise IllegalPort(
+                        program.name, rnd,
                         f"agent {state.id} at a degree-{deg} node "
-                        f"asked for port {port} in round {rnd}"
+                        f"asked for port {port} in round {rnd}",
+                        state.id,
                     )
                 if trace is not None:
                     trace.append((rnd, state.id, node, "move", port))
                 dest, back = adjacency[node][port]
                 occ = occupants[node]
                 occ.remove(r)
-                if len(occ) <= 1:
+                if len(occ) == 1:
                     crowded.discard(node)
                 state.current_node = dest
                 state.entered_port = back
-                dest_occ = occupants.get(dest)
-                if dest_occ is None:
-                    occupants[dest] = [r]
+                dest_occ = occupants[dest]
+                if dest_occ:
+                    insort(dest_occ, r)
+                    crowded.add(dest)
                 else:
                     dest_occ.append(r)
-                    if len(dest_occ) > 1:
-                        crowded.add(dest)
 
             if state.dirty:
                 bits = _memory_bits(state, widths)

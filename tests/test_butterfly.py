@@ -193,6 +193,29 @@ def test_same_side_resident_is_a_typed_scan_failure(program):
     assert mover.neighbor_list == [] and mover.counters == {}
 
 
+@pytest.mark.parametrize("make", [five_cycle, lambda: make_clique(4)], ids=["c5", "k4"])
+def test_scan_failure_names_the_phase(make):
+    g = make()
+    with pytest.raises(NotBipartiteSwarm) as info:
+        count_on(g, list(range(g.node_count))[::-1])
+    assert info.value.phase == "neighbor-scan"
+
+
+def test_wedge_count_failure_names_its_phase():
+    mover = AgentState(id=3, home_node=0, current_node=1, partition=0, entered_port=0)
+    mover.phase_state = {"mydeg": 2, "scan_done": False, "bfly": 0}
+    host = AgentState(id=5, home_node=1, current_node=1, partition=0)
+    view = StepView(round=1, at_home=False, entered_port=0, degree_here=2,
+                    colocated=(_snapshot(host),))
+    with pytest.raises(NotBipartiteSwarm) as info:
+        WedgeCountProgram(0).step(mover, view)
+    assert info.value.phase == "wedge-count"
+    assert str(info.value) == (
+        "agent 3 went through port 0 and found agent 5 of its own side at home "
+        "in round 1: the graph has an odd cycle"
+    )
+
+
 @st.composite
 def connected_graphs(draw):
     """A random spanning tree on 2-12 nodes plus random extra edges, and

@@ -1,6 +1,7 @@
 """Engine semantics: scheduling, movement, memory accounting, determinism."""
 
 import collections
+import collections.abc
 import functools
 import json
 import operator
@@ -180,6 +181,45 @@ class RoundStartIsolation(AgentProgram):
         return state.at_home and state.treelabel - state.id >= 4
 
 
+class PairIsolation(AgentProgram):
+    """On a two-node path the agent ``visitor`` walks to the other's node in
+    round 0 and back in round 1.  Every step logs the co-located snapshots
+    and their values; an agent with company then rewrites its scratch,
+    neighbor table and treelabel, partly in place."""
+
+    name = "pair-isolation"
+    scratch_widths = {"tag": 8}
+
+    def __init__(self, visitor, published):
+        self.visitor = visitor
+        self.published = published
+        self.views = {}
+        self.seen = {}
+
+    def on_start(self, states, ctx):
+        for s in states:
+            s.phase_state["tag"] = s.id
+            s.neighbor_list.append((0, s.id))
+
+    def step(self, state, view):
+        self.views[view.round, state.id] = view.colocated
+        self.seen[view.round, state.id] = [
+            (o.id, o.at_home, dict(o.scratch), tuple(o.neighbor_list), o.treelabel)
+            for o in view.colocated
+        ]
+        if view.colocated:
+            state.phase_state["tag"] += 10
+            state.neighbor_list.append((1, state.id))
+            state.treelabel += 10
+            state.dirty = True
+        if state.id == self.visitor and view.round < 2:
+            return 0
+        return None
+
+    def local_done(self, state):
+        return state.at_home and state.treelabel != state.id
+
+
 class Scripted(AgentProgram):
     """Logs every step; ports and wake rounds follow a fixed script.
 
@@ -306,6 +346,16 @@ def test_illegal_port_is_rejected():
     cfg = place_dispersed(g, [0, 1])
     with pytest.raises(IllegalPort):
         run(g, cfg, AskForBadPort())
+
+
+def test_illegal_port_names_phase_round_and_agent():
+    g, _ = make_path(3)
+    prog = Scripted({1: 0, 3: 0, 5: 0}, {(0, 5): (1, 1)})
+    with pytest.raises(IllegalPort) as info:
+        run(g, place_dispersed(g, [5, 1, 3]), prog)
+    err = info.value
+    assert (err.phase, err.round, err.agent) == ("scripted", 0, 5)
+    assert str(err) == "agent 5 at a degree-1 node asked for port 1 in round 0"
 
 
 def test_illegal_port_names_the_agent_after_earlier_moves():
@@ -618,6 +668,65 @@ def test_colocated_snapshots_are_round_start_copies():
     assert max(rnd for rnd, _ in prog.seen) == 3
 
 
+@pytest.mark.parametrize(
+    "published",
+    [None, frozenset({"tag", "neighbor_list"}), frozenset({"tag"}), frozenset({"neighbor_list"}),
+     frozenset()],
+    ids=["default", "both", "scratch", "table", "nothing"],
+)
+def test_pair_views_are_round_start_copies_of_what_is_published(published):
+    g, _ = make_path(2)
+    prog = PairIsolation(visitor=3, published=published)
+    run(g, place_dispersed(g, [3, 8]), prog)  # agent 3 visits agent 8's node
+    shows_scratch = published is None or "tag" in published
+    shows_table = published is None or "neighbor_list" in published
+
+    def round_start(agent, at_home):
+        return (
+            agent,
+            at_home,
+            {"tag": agent} if shows_scratch else {},
+            ((0, agent),) if shows_table else (),
+            agent,
+        )
+
+    assert prog.seen[0, 3] == prog.seen[0, 8] == []
+    # agent 3 steps first and rewrites everything it shows; 8 still sees
+    # the round-start values
+    assert prog.seen[1, 3] == [round_start(8, True)]
+    assert prog.seen[1, 8] == [round_start(3, False)]
+    if not shows_scratch:  # one shared empty mapping, read-only
+        (host,), (visitor,) = prog.views[1, 3], prog.views[1, 8]
+        assert host.scratch is visitor.scratch
+        with pytest.raises(TypeError):
+            host.scratch["tag"] = 0
+
+
+def test_crowds_list_agents_in_id_order_as_they_arrive_and_leave():
+    g, _ = make_complete_bipartite(1, 3)  # hub node 0, leaf k behind hub port k - 1
+    ids = [9, 4, 2, 7]  # the hub's agent has the highest id
+    # 4 arrives in round 0, 7 in round 1, 2 in round 2; then 4, 7 and 2
+    # leave in rounds 3, 4 and 5, each returning to sleep at home
+    prog = Scripted(
+        {4: 0, 7: 1, 2: 2},
+        {
+            (0, 4): (0, 1), (1, 4): (None, 2), (2, 4): (None, 3), (3, 4): (0, 4),
+            (1, 7): (0, 2), (2, 7): (None, 3), (3, 7): (None, 4), (4, 7): (2, 5),
+            (2, 2): (0, 3), (3, 2): (None, 4), (4, 2): (None, 5), (5, 2): (1, 6),
+        },
+    )
+    cfg = place_dispersed(g, ids)
+    run(g, cfg, prog)
+    crowds = {1: {4, 9}, 2: {4, 7, 9}, 3: {2, 4, 7, 9}, 4: {2, 7, 9}, 5: {2, 9}}
+    expected = [
+        (rnd, agent, sorted(crowd - {agent}))
+        for rnd, crowd in sorted(crowds.items())
+        for agent in sorted(crowd)
+    ]
+    assert [step for step in prog.steps if step[2]] == expected
+    assert all(s.at_home for s in cfg.states)
+
+
 def test_dirty_gated_peaks_match_a_full_recount(monkeypatch):
     """The engine accounts memory only on steps that set ``dirty``.  Recount
     every agent with the public ``account_memory`` after ``on_start`` and
@@ -773,6 +882,109 @@ def test_dirty_gated_peaks_match_a_full_recount_beyond_the_pipeline(instance, mo
     ]
     for name, recount, peak in audit.phases:
         assert recount == peak, name
+
+
+class RecordingScratch(collections.abc.Mapping):
+    """A snapshot's scratch that logs every key read into ``reads``."""
+
+    def __init__(self, data, reads):
+        self._data = data
+        self._reads = reads
+
+    def __getitem__(self, key):
+        self._reads.add(key)
+        return self._data[key]
+
+    def __contains__(self, key):
+        self._reads.add(key)
+        return key in self._data
+
+    def __iter__(self):
+        self._reads.update(self._data)
+        return iter(self._data)
+
+    def __len__(self):
+        self._reads.update(self._data)
+        return len(self._data)
+
+
+class RecordingTable(collections.abc.Sequence):
+    """A snapshot's neighbor table that logs ``"neighbor_list"`` when read."""
+
+    def __init__(self, data, reads):
+        self._data = data
+        self._reads = reads
+
+    def __getitem__(self, index):
+        self._reads.add("neighbor_list")
+        return self._data[index]
+
+    def __iter__(self):
+        self._reads.add("neighbor_list")
+        return iter(self._data)
+
+    def __len__(self):
+        self._reads.add("neighbor_list")
+        return len(self._data)
+
+
+class PublishAudit:
+    """Stands in for ``run``: has the engine show each program everything,
+    then rebuilds every view the program's ``step`` gets with recording
+    scratch and tables, to log what it reads of other agents against what
+    it publishes."""
+
+    def __init__(self):
+        self.reads = collections.defaultdict(set)  # program name -> keys read
+        self.published = {}  # program name -> declared ``published``
+        self.widths = collections.defaultdict(set)  # program name -> declared scratch keys
+
+    def __call__(self, graph, config, program, **kwargs):
+        name = program.name
+        self.published[name] = program.published
+        reads = self.reads[name]
+        step = program.step
+
+        def audited_step(state, view):
+            colocated = tuple(
+                s._replace(
+                    neighbor_list=RecordingTable(s.neighbor_list, reads),
+                    scratch=RecordingScratch(s.scratch, reads),
+                )
+                for s in view.colocated
+            )
+            return step(state, view._replace(colocated=colocated))
+
+        program.step = audited_step
+        program.published = None  # full views, so every read can be logged
+        result = run(graph, config, program, **kwargs)
+        self.widths[name].update(program.scratch_widths)
+        return result
+
+
+@pytest.mark.parametrize("instance", ["A8", "K34"])
+def test_programs_read_only_what_they_publish(instance, monkeypatch):
+    """Every key a program reads of a co-located agent is one it publishes,
+    and it reads each one somewhere; only the wedge count reads another
+    agent's neighbor table; every published scratch key has a width."""
+    g, ids = audit_instance(instance)
+    audit = PublishAudit()
+    for module in AUDITED_MODULES:
+        monkeypatch.setattr(module, "run", audit)
+    butterfly_module.count_butterflies(g, place_dispersed(g, ids))
+    known_leader_tree(g, place_dispersed(g, ids), leader_id=ids[3])
+    cfg = place_dispersed(g, ids)
+    audit(g, cfg, meeting_program(ids, cfg.lam))
+    assert set(audit.published) == {
+        "election", "broadcast-down", "neighbor-scan", "wedge-count",
+        "convergecast", "known-leader-tree", "meeting-window",
+    }
+    for name, published in audit.published.items():
+        assert audit.reads[name] == published, name
+        assert published - {"neighbor_list"} <= audit.widths[name], name
+    assert [name for name, keys in audit.reads.items() if "neighbor_list" in keys] == [
+        "wedge-count"
+    ]
 
 
 def test_trace_offset_and_jsonl(tmp_path):
