@@ -39,8 +39,8 @@ from .protocols.known_leader import known_leader_tree
 from .protocols.meeting import MeetingWindowProgram, window_length
 from .runtime import (
     RoundLimitExceeded,
-    RunReport,
     SimConfig,
+    Timeline,
     place_dispersed,
     run,
     write_trace_jsonl,
@@ -216,20 +216,16 @@ def cmd_run(args) -> int:
         targets = {s.id: (0 if graph.degree(s.home_node) > 0 else None)
                    for s in config.states}
         program = MeetingWindowProgram(lam=config.lam, targets=targets)
-        result = run(
+        timeline = Timeline(args.trace is not None)
+        timeline.add("meeting", run(
             graph, config, program,
             max_rounds=args.max_rounds, record_trace=args.trace is not None,
-        )
-        trace = result.trace
-        report = RunReport(
-            rounds_total=result.rounds,
-            rounds_per_phase={"meeting": result.rounds},
-            peak_memory_bits=result.peak_bits,
-            outputs={
-                "window_rounds": window_length(config.lam),
-                "meetings": [list(m) for m in program.meetings],
-            },
-        )
+        ))
+        trace = timeline.trace
+        report = timeline.report({
+            "window_rounds": window_length(config.lam),
+            "meetings": [list(m) for m in program.meetings],
+        })
         if args.verify:
             at_node = {s.home_node: s.id for s in config.states}
             met = {(u, v) for _, u, v in program.meetings}

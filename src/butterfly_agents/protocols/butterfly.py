@@ -42,7 +42,8 @@ from ..runtime import (
     id_bits,
     run,
 )
-from .election import ElectionResult, _elect
+from .election import _elect
+from .known_leader import TreeResult
 from .treecast import TreeEdgeSet, broadcast_down, convergecast
 
 # The pipeline's phases, in the order ``count_butterflies`` reports them.
@@ -63,9 +64,10 @@ def pair_butterflies(common: int) -> int:
     return common * (common - 1) // 2
 
 
-class OddButterflySum(RuntimeError):
+class OddButterflySum(PhaseInvariantError):
     """Raised when the folded counts are odd -- every 4-cycle is seen twice,
-    so an odd sum can only mean corrupted per-node values."""
+    so an odd sum can only mean corrupted per-node values.  ``phase`` is
+    ``total_fold`` and ``agents`` the root that holds the sum."""
 
 
 class NotBipartiteSwarm(RuntimeError):
@@ -224,7 +226,7 @@ class WedgeCountProgram(LockstepSweep):
 class ButterflyCount:
     total: int
     per_node: dict[int, int]  # agent id -> butterflies through its home node
-    election: ElectionResult
+    election: TreeResult
     report: RunReport
     trace: list[TraceEvent] | None = None
 
@@ -245,7 +247,7 @@ def fold_and_halve(
         value_width=value_width, max_rounds=max_rounds, record_trace=record_trace,
     )
     if doubled % 2:
-        raise OddButterflySum(f"per-node counts folded to odd value {doubled}")
+        raise OddButterflySum("total_fold", [tree.root_id], f"holds the odd per-node sum {doubled}")
     total = doubled // 2
     received, push = broadcast_down(
         graph, config, tree, total,

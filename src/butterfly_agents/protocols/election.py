@@ -38,7 +38,7 @@ Merge rules (everyone at a node applies them to the same snapshots):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..runtime import (
     NEVER,
@@ -47,20 +47,17 @@ from ..runtime import (
     PhaseInvariantError,
     RoundLimitExceeded,
     RunContext,
-    RunReport,
     SimConfig,
     Snapshot,
     StepView,
     Timeline,
-    TraceEvent,
     run,
 )
 from .known_leader import (
-    AGGREGATE_KEYS, AggregatePayload, absorb_aggregate, advance_port, aggregate_widths,
-    deliver_aggregates, first_port, reset_aggregate,
+    AGGREGATE_KEYS, TreeResult, absorb_aggregate, advance_port, aggregate_widths,
+    deliver_aggregates, join_tree,
 )
 from .meeting import make_meeting_id, next_departure, window_length
-from .treecast import TreeEdgeSet
 
 
 class ElectionProgram(AgentProgram):
@@ -102,22 +99,11 @@ class ElectionProgram(AgentProgram):
         }
         for state, deg in zip(states, ctx.degrees):
             self._departs[state.id] = int(make_meeting_id(state.id, ctx.lam).bits, 2)
-            state.parent = None
-            state.child = None
-            state.sibling = None
+            state.phase_state = {"mydeg": deg, "retry": 0}
+            join_tree(state, None, 0, None)  # the root of its own one-node tree
             state.treelabel = state.id
-            state.partition = 0
             state.leader = False
             state.completion = False
-            state.nextport = 0 if deg > 0 else -1
-            state.phase_state = {
-                "mydeg": deg,
-                "retry": 0,
-                "kids": 0,
-                "kids_done": 0,
-                "reported": False,
-            }
-            reset_aggregate(state.phase_state, 0)
             state.wake_round = 0
 
     # -- window bookkeeping -------------------------------------------------
@@ -181,20 +167,12 @@ class ElectionProgram(AgentProgram):
         partition: int,
         sibling: int | None,
     ) -> None:
-        ps = state.phase_state
-        state.parent = parent_port
+        join_tree(state, parent_port, partition, sibling)
         state.treelabel = label
-        state.partition = partition
-        state.sibling = sibling
-        state.child = None
-        state.nextport = first_port(parent_port, ps["mydeg"])
         state.completion = False
         state.leader = False
-        ps["kids"] = 0
-        ps["kids_done"] = 0
-        ps["reported"] = False
+        ps = state.phase_state
         ps["retry"] = 0
-        reset_aggregate(ps, partition)
         if "trip_port" in ps:
             del ps["trip_port"], ps["trip_rep"], ps["trip_done"]
             state.dirty = True
@@ -328,24 +306,13 @@ class ElectionProgram(AgentProgram):
         return bool(state.phase_state.get("reported"))
 
 
-@dataclass(frozen=True)
-class ElectionResult:
-    leader_id: int
-    tree: TreeEdgeSet
-    partition: dict[int, int]
-    payload: AggregatePayload
-    received: dict[int, tuple[int, int, int, int, int]]
-    report: RunReport
-    trace: list[TraceEvent] | None = None
-
-
 def elect_leader_and_tree(
     graph,
     config: SimConfig,
     *,
     max_rounds: int | None = None,
     record_trace: bool = False,
-) -> ElectionResult:
+) -> TreeResult:
     """Run the election, then push the root's totals down the tree.
 
     Afterwards every agent knows the leader id (its tree label), its side
@@ -357,7 +324,7 @@ def elect_leader_and_tree(
     return replace(_elect(graph, config, timeline, max_rounds), trace=timeline.trace)
 
 
-def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None):
+def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None) -> TreeResult:
     """Add phases ``election`` and ``downcast`` to ``timeline``; the
     result's report covers the timeline up to the downcast, its trace is None."""
     result = run(
@@ -377,21 +344,12 @@ def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None)
         raise PhaseInvariantError(
             "election", stray, f"ended on a tree label other than leader {leader.id}"
         )
-    payload, partition, tree, received = deliver_aggregates(
-        graph, config, leader, timeline, max_rounds
-    )
-    report = timeline.report({
+    res = deliver_aggregates(graph, config, leader, timeline, max_rounds)
+    payload = res.payload
+    return replace(res, report=timeline.report({
         "leader": leader.id,
         "n": payload.n,
         "side_counts": [payload.count0, payload.count1],
         "max_degree": payload.max_degree,
         "degree_sum": payload.degree_sum,
-    })
-    return ElectionResult(
-        leader_id=leader.id,
-        tree=tree,
-        partition=partition,
-        payload=payload,
-        received=received,
-        report=report,
-    )
+    }))

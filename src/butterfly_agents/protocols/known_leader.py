@@ -18,14 +18,19 @@ Once an agent has explored every non-parent port and heard a completion
 report from each child, it carries its completion upward together with
 subtree aggregates (degree sum, per-partition node counts, maximum
 degree).  When the leader completes, it holds the graph totals and
-broadcasts them down the finished tree.  The aggregate helpers and that
-closing broadcast (``deliver_aggregates``) are shared with the leaderless
-election.
+broadcasts them down the finished tree.
+
+The leaderless election ends the same way and shares the skeleton:
+``join_tree`` is the one step by which an agent takes a parent, a side
+and a sibling and restarts its sweep and aggregate; the aggregate helpers
+fold the subtree totals; ``deliver_aggregates`` closes either protocol
+with that broadcast and returns the one ``TreeResult`` both entry points
+hand back, each with its own report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from ..runtime import (
@@ -45,8 +50,8 @@ from .treecast import TreeEdgeSet, broadcast_down, tree_from_states
 
 __all__ = [
     "AGGREGATE_KEYS", "AggregatePayload", "aggregate_widths", "reset_aggregate",
-    "absorb_aggregate",
-    "deliver_aggregates", "KnownLeaderResult", "KnownLeaderProgram", "known_leader_tree",
+    "absorb_aggregate", "join_tree",
+    "deliver_aggregates", "TreeResult", "KnownLeaderProgram", "known_leader_tree",
 ]
 
 
@@ -103,11 +108,20 @@ def advance_port(nextport: int, parent: int | None, degree: int) -> int:
     return p if p < degree else -1
 
 
-def first_port(parent: int | None, degree: int) -> int:
-    p = 0
-    if p == parent:
-        p += 1
-    return p if p < degree else -1
+def join_tree(state: AgentState, parent: int | None, partition: int, sibling: int | None) -> None:
+    """Attach an agent to a tree: take ``parent`` (None for a root), its
+    side and its ``sibling`` port, forget its children, restart its port
+    sweep and start its aggregate over at its own node (reads ``mydeg``)."""
+    ps = state.phase_state
+    state.parent = parent
+    state.partition = partition
+    state.sibling = sibling
+    state.child = None
+    state.nextport = advance_port(-1, parent, ps["mydeg"])
+    ps["kids"] = 0
+    ps["kids_done"] = 0
+    ps["reported"] = False
+    reset_aggregate(ps, partition)
 
 
 class KnownLeaderProgram(AgentProgram):
@@ -116,7 +130,7 @@ class KnownLeaderProgram(AgentProgram):
 
     def __init__(self, leader_id: int):
         self.leader_id = leader_id
-        self.assigned_round: dict[int, int] = {}
+        self.last_assigned_round = -1  # when the latest agent took its side
         self.scratch_widths = {}
 
     def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
@@ -141,30 +155,16 @@ class KnownLeaderProgram(AgentProgram):
             s.nextport = 0
             s.wake_round = NEVER
             if s.id == self.leader_id:
-                self._assign(s, 0, None, None, -1)
+                self._assign(s, None, 0, None, -1)
                 s.leader = True
                 s.wake_round = 0
 
     def _assign(
-        self,
-        state: AgentState,
-        partition: int,
-        parent: int | None,
-        sibling: int | None,
-        rnd: int,
+        self, state: AgentState, parent: int | None, partition: int, sibling: int | None, rnd: int
     ) -> None:
-        ps = state.phase_state
-        state.partition = partition
-        state.parent = parent
-        state.sibling = sibling
-        state.child = None
-        state.nextport = first_port(parent, ps["mydeg"])
-        ps["kids"] = 0
-        ps["kids_done"] = 0
-        ps["reported"] = False
-        ps["rep"] = False
-        reset_aggregate(ps, partition)
-        self.assigned_round[state.id] = rnd
+        join_tree(state, parent, partition, sibling)
+        state.phase_state["rep"] = False
+        self.last_assigned_round = rnd  # rounds only grow
         state.dirty = True
 
     # -- helpers -----------------------------------------------------------
@@ -189,11 +189,7 @@ class KnownLeaderProgram(AgentProgram):
             if explorers:
                 winner = min(explorers, key=lambda s: s.id)
                 self._assign(
-                    state,
-                    1 - winner.partition,
-                    winner.entered_port,
-                    winner.child,
-                    view.round,
+                    state, winner.entered_port, 1 - winner.partition, winner.child, view.round
                 )
             else:
                 state.wake_round = NEVER
@@ -256,15 +252,34 @@ class KnownLeaderProgram(AgentProgram):
         return bool(state.phase_state.get("reported", False))
 
 
+@dataclass(frozen=True)
+class TreeResult:
+    """A finished spanning tree and the totals its root pushed down.
+
+    ``partition`` maps agent ids to 0 (the root's side) or 1, and
+    ``received`` holds the (n, count0, count1, max degree, degree sum)
+    tuple each agent got.  ``report`` and ``trace`` are attached by the
+    entry point that ran the protocol.
+    """
+
+    leader_id: int
+    tree: TreeEdgeSet
+    partition: dict[int, int]
+    payload: AggregatePayload
+    received: dict[int, tuple[int, int, int, int, int]]
+    report: RunReport | None = None
+    trace: list[TraceEvent] | None = None
+
+
 def deliver_aggregates(
     graph, config: SimConfig, root: AgentState, timeline: Timeline, max_rounds: int | None
-) -> tuple[AggregatePayload, dict[int, int], TreeEdgeSet, dict[int, tuple]]:
+) -> TreeResult:
     """Close a finished tree protocol and push its totals down the tree.
 
     Reads the root's aggregate, takes the partition and the tree from the
     agents, drops their scratch, and broadcasts (n, count0, count1, max
     degree, degree sum) to every agent, added to ``timeline`` as phase
-    ``downcast``.  Returns (payload, partition, tree, received values).
+    ``downcast``.  The result has neither report nor trace.
     """
     ps = root.phase_state
     payload = AggregatePayload(ps["agg_deg"], ps["agg_c0"], ps["agg_c1"], ps["agg_max"])
@@ -281,17 +296,7 @@ def deliver_aggregates(
         max_rounds=max_rounds, record_trace=timeline.trace is not None,
     )
     timeline.add("downcast", result)
-    return payload, partition, tree, received
-
-
-@dataclass
-class KnownLeaderResult:
-    tree: TreeEdgeSet
-    partition: dict[int, int]  # agent id -> 0 (leader side) or 1
-    payload: AggregatePayload
-    received: dict[int, tuple]  # downcast values per agent
-    report: RunReport
-    trace: list[TraceEvent] | None = None
+    return TreeResult(root.id, tree, partition, payload, received)
 
 
 def known_leader_tree(
@@ -300,7 +305,7 @@ def known_leader_tree(
     leader_id: int,
     max_rounds: int | None = None,
     record_trace: bool = False,
-) -> KnownLeaderResult:
+) -> TreeResult:
     """Build partitions and a spanning tree from a known leader, then
     broadcast (n, count0, count1, max degree, degree sum) to every agent.
 
@@ -311,14 +316,13 @@ def known_leader_tree(
     timeline = Timeline(record_trace)
     result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
     timeline.add("assignment", result)
-    assignment = max(program.assigned_round.values()) + 1
+    assignment = program.last_assigned_round + 1
     timeline.rounds_per_phase["assignment"] = assignment
     timeline.rounds_per_phase["aggregation"] = result.rounds - assignment
 
     leader_state = next(s for s in config.states if s.id == leader_id)
-    payload, partition, tree, received = deliver_aggregates(
-        graph, config, leader_state, timeline, max_rounds
-    )
+    res = deliver_aggregates(graph, config, leader_state, timeline, max_rounds)
+    payload = res.payload
     report = timeline.report({
         "leader": leader_id,
         "n": payload.n,
@@ -327,11 +331,4 @@ def known_leader_tree(
         "max_degree": payload.max_degree,
         "degree_sum": payload.degree_sum,
     })
-    return KnownLeaderResult(
-        tree=tree,
-        partition=partition,
-        payload=payload,
-        received=received,
-        report=report,
-        trace=timeline.trace,
-    )
+    return replace(res, report=report, trace=timeline.trace)

@@ -171,7 +171,7 @@ def convergecast(
     tree: TreeEdgeSet,
     values: dict[int, Any],
     combine: Callable[[Any, Any], Any],
-    value_width: int = 64,
+    value_width: int,
     max_rounds: int | None = None,
     record_trace: bool = False,
 ) -> tuple[Any, RunResult]:
@@ -231,7 +231,7 @@ def broadcast_down(
     config: SimConfig,
     tree: TreeEdgeSet,
     value: Any,
-    value_width: int = 64,
+    value_width: int,
     max_rounds: int | None = None,
     record_trace: bool = False,
 ) -> tuple[dict[int, Any], RunResult]:

@@ -141,6 +141,16 @@ def test_tampered_fold_is_caught():
         fold_and_halve(g, cfg, election.tree, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8)
 
 
+def test_odd_fold_names_the_phase_and_the_root():
+    g, _ = make_complete_bipartite(2, 2)
+    cfg = place_dispersed(g, [4, 5, 6, 7])
+    election = elect_leader_and_tree(g, cfg)
+    with pytest.raises(PhaseInvariantError, match="odd per-node sum 3") as info:
+        fold_and_halve(g, cfg, election.tree, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8)
+    assert isinstance(info.value, OddButterflySum)
+    assert (info.value.phase, info.value.agents) == ("total_fold", (4,))
+
+
 def test_missed_total_broadcast_is_a_typed_failure(monkeypatch):
     g, _ = make_complete_bipartite(3, 3)
     cfg = place_dispersed(g, [4, 2, 7, 1, 5, 3])

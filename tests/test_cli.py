@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, file outputs, verification plumbing."""
 
 import csv
+import hashlib
 import json
 
 from butterfly_agents import cli
@@ -24,6 +25,25 @@ def test_run_meeting_demo(capsys):
     )
     assert rc == 0
     assert "meetings" in capsys.readouterr().out
+
+
+def test_meeting_demo_report_and_trace_are_pinned(tmp_path):
+    # digests of the files the meeting demo wrote before it reported
+    # through the phase timeline like every other protocol
+    trace = tmp_path / "t.jsonl"
+    report = tmp_path / "r.json"
+    rc = cli.main(
+        ["run", "--protocol", "meeting-demo", "--gen", "random", "4", "5", "--seed", "3",
+         "--ids", "list:12,3,40,7,25,1,18,9,30", "--trace", str(trace), "--report", str(report),
+         "--verify"]
+    )
+    assert rc == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "510dea4d541e00eaaa59e3a714c1ee6cc4c93faceb65cbf34a56059f86457751"
+    )
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+        "b88cc0a289ad843befed9702edac204782f2b059dc86d031d62e06e9c4e00a28"
+    )
 
 
 def test_run_election_and_known_leader(capsys):

@@ -10,8 +10,9 @@ from butterfly_agents.graphs import (
     make_random_connected_bipartite,
 )
 from butterfly_agents.oracle import check_spanning_tree, oracle_coloring
-from butterfly_agents.protocols.known_leader import known_leader_tree
-from butterfly_agents.runtime import place_dispersed
+from butterfly_agents.protocols.election import elect_leader_and_tree
+from butterfly_agents.protocols.known_leader import TreeResult, join_tree, known_leader_tree
+from butterfly_agents.runtime import AgentState, place_dispersed
 
 
 def test_square_with_leader_7():
@@ -101,3 +102,57 @@ def test_trace_is_one_continuous_timeline():
     rounds = [ev[0] for ev in res.trace]
     assert rounds == sorted(rounds)
     assert rounds[-1] == res.report.rounds_total - 1
+
+
+def a8_instance():
+    g, _ = make_random_connected_bipartite(9, 11, edge_prob=0.4, seed=5)
+    return g, random.Random(5).sample(range(64), 20)
+
+
+def k34_instance():
+    g, _ = make_complete_bipartite(3, 4)
+    return g, [12, 3, 40, 7, 25, 1, 18]
+
+
+@pytest.mark.parametrize("make", [a8_instance, k34_instance], ids=["A8", "K34"])
+def test_both_tree_protocols_end_in_one_result(make):
+    # told the minimum id, the known-leader tree ends where the election
+    # does: same leader, same sides, same totals delivered to everyone.
+    # The trees themselves may differ.
+    g, ids = make()
+    known = known_leader_tree(g, place_dispersed(g, ids), min(ids))
+    elected = elect_leader_and_tree(g, place_dispersed(g, ids))
+    assert type(known) is type(elected) is TreeResult
+    assert known.leader_id == elected.leader_id == min(ids)
+    assert known.partition == elected.partition
+    assert known.payload == elected.payload
+    assert known.received == elected.received
+
+
+@pytest.mark.parametrize(
+    "parent,partition,degree,nextport",
+    [
+        (0, 1, 3, 1),  # the parent holds port 0: the sweep starts at port 1
+        (2, 0, 3, 0),
+        (0, 1, 1, -1),  # a leaf's only port leads to its parent
+        (None, 0, 2, 0),
+        (None, 0, 0, -1),  # an isolated root has nothing to sweep
+    ],
+)
+def test_join_tree_restarts_sweep_and_aggregate(parent, partition, degree, nextport):
+    s = AgentState(id=4, home_node=0, current_node=0, partition=1 - partition)
+    s.parent, s.child, s.sibling, s.nextport = 5, 2, 1, 2
+    s.phase_state = {
+        "mydeg": degree, "kids": 3, "kids_done": 2, "reported": True,
+        "agg_deg": 17, "agg_c0": 4, "agg_c1": 5, "agg_max": 9, "rep": True,
+    }
+    join_tree(s, parent, partition, 7)
+    assert (s.parent, s.partition, s.sibling, s.child, s.nextport) == (
+        parent, partition, 7, None, nextport
+    )
+    assert s.phase_state == {
+        "mydeg": degree, "kids": 0, "kids_done": 0, "reported": False,
+        "agg_deg": degree, "agg_c0": int(partition == 0), "agg_c1": int(partition == 1),
+        "agg_max": degree,
+        "rep": True,  # protocol-specific keys are the caller's to reset
+    }
