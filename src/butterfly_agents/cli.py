@@ -1,7 +1,8 @@
 """Command-line front end: run one protocol on one graph, or sweep sizes.
 
-Exit codes: 0 success, 1 verification mismatch, 2 bad configuration,
-unreadable input, or a graph the agents find is not bipartite, 3 round
+Exit codes: 0 success; 1 verification mismatch, broken phase invariant,
+illegal port move or failed oracle self-check; 2 bad configuration,
+unreadable input, or a graph the agents find is not bipartite; 3 round
 budget exhausted.  Set BUTTERFLY_AGENTS_LOG to a level name (DEBUG,
 INFO, ...) to get progress logging on stderr.
 """
@@ -26,21 +27,18 @@ from .graphs import (
     make_path,
     make_random_connected_bipartite,
 )
-from .oracle import (
-    NotBipartite,
-    check_spanning_tree,
-    oracle_coloring,
-    oracle_per_node_butterflies,
-    oracle_total_butterflies,
-)
+from .oracle import OracleMismatch, check_butterflies, check_tree
+from .oracle import diff_per_node  # noqa: F401 (cli.diff_per_node stays importable)
 from .protocols.butterfly import PHASES, NotBipartiteSwarm, count_butterflies
 from .protocols.election import elect_leader_and_tree
 from .protocols.known_leader import known_leader_tree
 from .protocols.meeting import MeetingWindowProgram, window_length
 from .runtime import (
+    IllegalPort,
+    PhaseInvariantError,
     RoundLimitExceeded,
-    SimConfig,
     Timeline,
+    id_bits,
     place_dispersed,
     run,
     write_trace_jsonl,
@@ -114,83 +112,6 @@ def _make_ids(spec: str, n: int, rng: random.Random) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# verification against the centralized oracles
-# ---------------------------------------------------------------------------
-
-
-def diff_per_node(got: dict[int, int], want: dict[int, int]) -> list[str]:
-    """Line-per-node mismatches between a counted and an expected mapping."""
-    problems = []
-    for key in sorted(set(got) | set(want)):
-        g, w = got.get(key), want.get(key)
-        if g != w:
-            problems.append(f"node {key}: counted {g}, expected {w}")
-    return problems
-
-
-def _partition_problems(graph, tree, partition: dict[int, int]) -> list[str]:
-    """Each agent's side, against the oracle 2-coloring taken relative to
-    the root's side.  A graph with an odd cycle has no 2-coloring; there the
-    side must be the parity of the agent's depth in the tree, which is what
-    the protocols assign."""
-    try:
-        side = oracle_coloring(graph)
-    except NotBipartite:
-        depth = tree.depth_map(graph)  # a broken tree is _tree_problems' to report
-        expected = {aid: depth[aid] % 2 for aid in partition if aid in depth}
-    else:
-        lead = side[tree.home_node[tree.root_id]]
-        expected = {
-            aid: 0 if side[tree.home_node[aid]] == lead else 1 for aid in partition
-        }
-    return [
-        f"agent {aid}: partition {got}, expected {expected[aid]}"
-        for aid, got in sorted(partition.items())
-        if aid in expected and got != expected[aid]
-    ]
-
-
-def _tree_problems(graph, tree) -> list[str]:
-    chk = check_spanning_tree(
-        graph, tree.node_parent_ports(), tree.home_node[tree.root_id]
-    )
-    return list(chk.problems)
-
-
-def _payload_problems(graph, payload) -> list[str]:
-    problems = []
-    if payload.n != graph.node_count:
-        problems.append(f"payload n={payload.n}, graph has {graph.node_count}")
-    if payload.degree_sum != 2 * graph.edge_count:
-        problems.append(
-            f"payload degree_sum={payload.degree_sum}, graph has {2 * graph.edge_count}"
-        )
-    if payload.max_degree != graph.max_degree:
-        problems.append(
-            f"payload max_degree={payload.max_degree}, graph has {graph.max_degree}"
-        )
-    return problems
-
-
-def _verify_butterfly(graph, res) -> list[str]:
-    problems = []
-    want_total = oracle_total_butterflies(graph)
-    if res.total != want_total:
-        problems.append(f"total {res.total}, oracle says {want_total}")
-    home = res.election.tree.home_node
-    got = {home[aid]: c for aid, c in res.per_node.items()}
-    problems += diff_per_node(got, dict(enumerate(oracle_per_node_butterflies(graph))))
-    part = res.election.partition
-    half = (
-        sum(c for aid, c in res.per_node.items() if part[aid] == 0),
-        sum(c for aid, c in res.per_node.items() if part[aid] == 1),
-    )
-    if half != (2 * res.total, 2 * res.total):
-        problems.append(f"side sums {half} != twice the total {2 * res.total}")
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # the run command
 # ---------------------------------------------------------------------------
 
@@ -209,7 +130,6 @@ def cmd_run(args) -> int:
         n, graph.edge_count, graph.max_degree, args.protocol, args.ids,
     )
 
-    trace = None
     problems: list[str] = []
 
     if args.protocol == "meeting-demo":
@@ -245,9 +165,7 @@ def cmd_run(args) -> int:
         )
         report, trace = res.report, res.trace
         if args.verify:
-            problems += _tree_problems(graph, res.tree)
-            problems += _partition_problems(graph, res.tree, res.partition)
-            problems += _payload_problems(graph, res.payload)
+            problems += check_tree(graph, res, leader)
             budget = 4 * n
             spent = res.report.rounds_per_phase["assignment"]
             if spent > budget:
@@ -259,11 +177,7 @@ def cmd_run(args) -> int:
         )
         report, trace = res.report, res.trace
         if args.verify:
-            if res.leader_id != min(ids):
-                problems.append(f"leader {res.leader_id}, smallest id is {min(ids)}")
-            problems += _tree_problems(graph, res.tree)
-            problems += _partition_problems(graph, res.tree, res.partition)
-            problems += _payload_problems(graph, res.payload)
+            problems += check_tree(graph, res, min(ids))
     elif args.protocol == "butterfly-full":
         res = count_butterflies(
             graph, config,
@@ -271,7 +185,7 @@ def cmd_run(args) -> int:
         )
         report, trace = res.report, res.trace
         if args.verify:
-            problems += _verify_butterfly(graph, res)
+            problems += check_butterflies(graph, res, min(ids))
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown protocol {args.protocol}")
 
@@ -339,8 +253,7 @@ def cmd_sweep(args) -> int:
             n = g.node_count
             ids = rng.sample(range(2 * n), n)
             config = place_dispersed(g, ids)
-            lw = max(config.lam.bit_length(), 1)
-            base = [n, g.max_degree, min(a, b), lw]
+            base = [n, g.max_degree, min(a, b), id_bits(config.lam)]
             try:
                 res = count_butterflies(g, config, max_rounds=args.max_rounds)
             except Exception as exc:  # a failed point must not kill the sweep
@@ -423,6 +336,14 @@ def main(argv: list[str] | None = None) -> int:
             where += f", agent {exc.agent}"
         print(f"round limit ({where}): {exc}", file=sys.stderr)
         return 3
+    except PhaseInvariantError as exc:
+        print(f"invariant broken: {exc}", file=sys.stderr)
+    except IllegalPort as exc:
+        where = f"phase {exc.phase}, round {exc.round}, agent {exc.agent}"
+        print(f"illegal port ({where}): {exc}", file=sys.stderr)
+    except OracleMismatch as exc:
+        print(f"oracle self-check failed: {exc}", file=sys.stderr)
+    return 1  # only the three failures just above get here
 
 
 if __name__ == "__main__":

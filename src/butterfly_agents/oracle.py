@@ -16,6 +16,9 @@ integers:
   direct four-node enumeration.  A failed self-check raises
   ``OracleMismatch``.
 * A spanning-tree checker.
+* The result checkers ``check_tree`` (a tree protocol's result) and
+  ``check_butterflies`` (a counting run's, its election included), which
+  return problem lines, ``[]`` when the result is right.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ __all__ = [
     "enumerate_butterflies",
     "TreeCheck",
     "check_spanning_tree",
+    "diff_per_node",
+    "check_tree",
+    "check_butterflies",
 ]
 
 
@@ -229,3 +235,73 @@ def check_spanning_tree(
     _, diameter = farthest(end)
     height = max(depth.values())
     return TreeCheck(True, (), depth, height, diameter)
+
+
+# ---------------------------------------------------------------------------
+# result checking
+# ---------------------------------------------------------------------------
+
+
+def diff_per_node(got: dict[int, int], want: dict[int, int]) -> list[str]:
+    """Line-per-node mismatches between a counted and an expected mapping."""
+    return [
+        f"node {key}: counted {got.get(key)}, expected {want.get(key)}"
+        for key in sorted(set(got) | set(want))
+        if got.get(key) != want.get(key)
+    ]
+
+
+def check_tree(g: PortGraph, result, leader: int) -> list[str]:
+    """Problems with a tree protocol's ``TreeResult``: leader and root must
+    be ``leader``, the parent ports a spanning tree, each side the agent's
+    oracle color relative to the root's (on an odd-cycle graph, its tree
+    depth's parity), the payload the graph's, each received tuple the
+    payload's.  [] when all hold."""
+    tree, payload = result.tree, result.payload
+    home = tree.home_node
+    problems = []
+    if result.leader_id != leader:
+        problems.append(f"leader {result.leader_id}, expected {leader}")
+    if tree.root_id != leader:
+        problems.append(f"tree root {tree.root_id}, expected {leader}")
+    root = home[tree.root_id]
+    chk = check_spanning_tree(g, tree.node_parent_ports(), root)
+    problems += chk.problems
+    try:
+        level = dict(enumerate(oracle_coloring(g)))
+    except NotBipartite:
+        level = chk.depth or {}  # a broken tree is reported above
+    if level:
+        for aid, got in sorted(result.partition.items()):
+            side = (level[home[aid]] - level[root]) % 2
+            if got != side:
+                problems.append(f"agent {aid}: partition {got}, expected {side}")
+    want = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
+    sides = list(result.partition.values())
+    truth = (g.node_count, sides.count(0), sides.count(1), g.max_degree, 2 * g.edge_count)
+    for name, got, has in zip(("n", "count0", "count1", "max_degree", "degree_sum"), want, truth):
+        if got != has:
+            problems.append(f"payload {name}={got}, graph has {has}")
+    for aid in sorted(home):
+        got = result.received.get(aid)
+        if got != want:
+            problems.append(f"agent {aid}: received {got}, expected {want}")
+    return problems
+
+
+def check_butterflies(g: PortGraph, result, leader: int) -> list[str]:
+    """Problems with a counting run's ``ButterflyCount``: total and per-node
+    counts against the oracle, each side's sum against twice the total, and
+    ``check_tree`` on its election.  [] when all hold."""
+    problems = []
+    want_total = oracle_total_butterflies(g)
+    if result.total != want_total:
+        problems.append(f"total {result.total}, oracle says {want_total}")
+    home = result.election.tree.home_node
+    got = {home[aid]: c for aid, c in result.per_node.items()}
+    problems += diff_per_node(got, dict(enumerate(oracle_per_node_butterflies(g))))
+    part = result.election.partition
+    half = tuple(sum(c for a, c in result.per_node.items() if part[a] == s) for s in (0, 1))
+    if half != (2 * result.total, 2 * result.total):
+        problems.append(f"side sums {half} != twice the total {2 * result.total}")
+    return problems + check_tree(g, result.election, leader)

@@ -3,9 +3,15 @@
 import csv
 import hashlib
 import json
+import re
+from dataclasses import replace
+
+import pytest
 
 from butterfly_agents import cli
 from butterfly_agents.graphs import build_port_graph, make_complete_bipartite, save_graph
+from butterfly_agents.protocols import butterfly as butterfly_module
+from butterfly_agents.protocols.butterfly import OddButterflySum
 
 
 def test_run_butterfly_with_verify_passes(capsys):
@@ -143,10 +149,65 @@ def test_round_budget_exit_code(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # sabotage the reference count: verification must notice and fail
-    monkeypatch.setattr(cli, "oracle_total_butterflies", lambda g: 999)
+    monkeypatch.setattr("butterfly_agents.oracle.oracle_total_butterflies", lambda g: 999)
     rc = cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--verify"])
     assert rc == 1
     assert "VERIFY FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["received", "second_root"])
+def test_butterfly_full_verify_checks_its_election(capsys, monkeypatch, damage):
+    count = cli.count_butterflies
+
+    def corrupted(*args, **kwargs):
+        res = count(*args, **kwargs)
+        el = res.election
+        if damage == "received":
+            el = replace(el, received={**el.received, 5: (0, 0, 0, 0, 0)})
+        else:
+            el = replace(el, tree=replace(el.tree, parent_port={**el.tree.parent_port, 5: None}))
+        return replace(res, election=el)
+
+    monkeypatch.setattr(cli, "count_butterflies", corrupted)
+    rc = cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--verify"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    if damage == "received":
+        assert "VERIFY FAIL: agent 5: received (0, 0, 0, 0, 0), expected (6, 3, 3, 3, 18)" in err
+    else:
+        assert "VERIFY FAIL: expected single root 0, found roots [0, 5]" in err
+
+
+def test_broken_invariant_exits_1(capsys, monkeypatch):
+    def odd_fold(graph, config, tree, values, **kwargs):
+        raise OddButterflySum("total_fold", [tree.root_id], "holds the odd per-node sum 5")
+
+    monkeypatch.setattr(butterfly_module, "fold_and_halve", odd_fold)
+    rc = cli.main(["run", "--gen", "complete", "2", "2", "--ids", "seq"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "invariant broken: total_fold: agents [0] holds the odd per-node sum 5\n"
+    )
+
+
+def test_illegal_port_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.MeetingWindowProgram, "step", lambda self, state, view: 7)
+    rc = cli.main(["run", "--protocol", "meeting-demo", "--gen", "path", "4", "--ids", "seq"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"illegal port \(phase meeting-window, round 0, agent \d\): "
+        r"agent \d at a degree-\d node asked for port 7 in round 0\n", err
+    ), err
+
+
+def test_oracle_self_check_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("butterfly_agents.oracle.enumerate_butterflies", lambda g: 999)
+    rc = cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "oracle self-check failed: two-hop count gives 9, enumeration gives 999\n"
+    )
 
 
 def test_diff_per_node_reports_both_directions():
