@@ -18,6 +18,7 @@ import random
 import sys
 
 from .graphs import (
+    MAX_CROSS_PAIRS,
     Bipartition,
     GraphFormatError,
     PortGraph,
@@ -235,6 +236,8 @@ def cmd_sweep(args) -> int:
             raise CliError(f"bad --sizes entry {token!r}, want AxB") from exc
         if min(sizes[-1]) < 1:
             raise CliError(f"bad --sizes entry {token!r}: both sides need at least one node")
+        if sizes[-1][0] * sizes[-1][1] > MAX_CROSS_PAIRS:
+            raise CliError(f"bad --sizes entry {token!r}: more than 2**32 cross pairs")
     if not 0.0 <= args.edge_prob <= 1.0:
         raise CliError(f"--edge-prob {args.edge_prob} is outside [0, 1]")
 

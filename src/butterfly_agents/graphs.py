@@ -17,6 +17,7 @@ __all__ = [
     "PortGraph",
     "Bipartition",
     "GraphFormatError",
+    "MAX_CROSS_PAIRS",
     "build_port_graph",
     "make_complete_bipartite",
     "make_random_connected_bipartite",
@@ -30,6 +31,10 @@ __all__ = [
 
 SIDE_A = 0
 SIDE_B = 1
+
+# The most cross pairs make_random_connected_bipartite takes: its ranking
+# stores pair codes 0 .. a*b - 1 as 4-byte unsigned ints.
+MAX_CROSS_PAIRS = 1 << 32
 
 
 class GraphFormatError(ValueError):
@@ -163,11 +168,21 @@ def make_random_connected_bipartite(
     the lowest-ranked missing pair whose endpoints lie in different
     components.  Finally every node's port order is an independent seeded
     permutation of its incident edges.
+
+    Time is Θ(a·b): one draw per cross pair and a shuffle of all of them.
+    The ranking holds each pair as a 4-byte code, so it takes 4·a·b bytes,
+    and a·b may be at most 2**32; a larger shape raises ValueError before
+    any draw.
     """
     if a < 1 or b < 1:
         raise ValueError("both sides need at least one node")
     if not (0.0 <= edge_prob <= 1.0):
         raise ValueError("edge_prob must be within [0, 1]")
+    if a * b > MAX_CROSS_PAIRS:
+        raise ValueError(
+            f"{a}x{b} has {a * b} cross pairs; at most 2**32 fit the "
+            "augmentation ranking's 4-byte codes"
+        )
     rng = random.Random(seed)
     n = a + b
     present: set[tuple[int, int]] = set()
@@ -191,8 +206,10 @@ def make_random_connected_bipartite(
         root[find(i)] = find(a + j)
 
     # The augmentation ranking is a seeded shuffle of all a*b cross pairs,
-    # pair (i, j) stored as the int i * b + j: 8 bytes each, no tuple.
-    ranking = array("q", range(a * b))
+    # pair (i, j) stored as the unsigned int i * b + j: 4 bytes each, no
+    # tuple.  The shuffle's draws depend only on the length, so the
+    # permutation is the same at any width.
+    ranking = array("I", range(a * b))
     rng.shuffle(ranking)
     components = len({find(x) for x in range(n)})
     for code in ranking:

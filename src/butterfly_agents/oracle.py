@@ -89,6 +89,11 @@ def oracle_per_node_butterflies(g: PortGraph) -> list[int]:
     and a disconnected one ValueError.
     """
     oracle_coloring(g)
+    return _two_hop_counts(g)
+
+
+def _two_hop_counts(g: PortGraph) -> list[int]:
+    """``oracle_per_node_butterflies`` without its coloring."""
     nbrs = [tuple(u for u, _ in row) for row in g.adjacency]
     mask = [sum(1 << u for u in row) for row in nbrs]
     counts = [0] * len(nbrs)
@@ -108,7 +113,11 @@ def oracle_per_node_butterflies(g: PortGraph) -> list[int]:
 
 def enumerate_butterflies(g: PortGraph) -> int:
     """Count butterflies by brute force over all A-pairs x B-pairs."""
-    color = oracle_coloring(g)
+    return _enumerate(g, oracle_coloring(g))
+
+
+def _enumerate(g: PortGraph, color: list[int]) -> int:
+    """``enumerate_butterflies`` given the graph's coloring."""
     a_nodes = [v for v in range(g.node_count) if color[v] == 0]
     b_nodes = [v for v in range(g.node_count) if color[v] == 1]
     nbrs = [set(g.neighbors(v)) for v in range(g.node_count)]
@@ -133,7 +142,12 @@ def oracle_total_butterflies(g: PortGraph) -> int:
     four-node enumeration gives the same total.
     """
     color = oracle_coloring(g)
-    per_node = oracle_per_node_butterflies(g)
+    return _checked_total(g, color, oracle_per_node_butterflies(g), enumerate_butterflies)
+
+
+def _checked_total(g: PortGraph, color: list[int], per_node: list[int], enumerate_total) -> int:
+    """Half one side's sum of ``per_node`` after the self-checks; on graphs of
+    at most 64 nodes ``enumerate_total(g)`` gives the enumerated total."""
     sum_a = sum(b for v, b in enumerate(per_node) if color[v] == 0)
     sum_b = sum(b for v, b in enumerate(per_node) if color[v] == 1)
     if sum_a != sum_b:
@@ -142,7 +156,7 @@ def oracle_total_butterflies(g: PortGraph) -> int:
         raise OracleMismatch(f"side sum {sum_a} is odd")
     total = sum_a // 2
     if g.node_count <= 64:
-        enumerated = enumerate_butterflies(g)
+        enumerated = enumerate_total(g)
         if enumerated != total:
             raise OracleMismatch(
                 f"two-hop count gives {total}, enumeration gives {enumerated}"
@@ -257,6 +271,15 @@ def check_tree(g: PortGraph, result, leader: int) -> list[str]:
     oracle color relative to the root's (on an odd-cycle graph, its tree
     depth's parity), the payload the graph's, each received tuple the
     payload's.  [] when all hold."""
+    try:
+        color = oracle_coloring(g)
+    except NotBipartite:
+        color = None
+    return _check_tree(g, result, leader, color)
+
+
+def _check_tree(g: PortGraph, result, leader: int, color: list[int] | None) -> list[str]:
+    """``check_tree`` given the graph's coloring, None on an odd-cycle graph."""
     tree, payload = result.tree, result.payload
     home = tree.home_node
     problems = []
@@ -267,9 +290,9 @@ def check_tree(g: PortGraph, result, leader: int) -> list[str]:
     root = home[tree.root_id]
     chk = check_spanning_tree(g, tree.node_parent_ports(), root)
     problems += chk.problems
-    try:
-        level = dict(enumerate(oracle_coloring(g)))
-    except NotBipartite:
+    if color is not None:
+        level = dict(enumerate(color))
+    else:
         level = chk.depth or {}  # a broken tree is reported above
     if level:
         for aid, got in sorted(result.partition.items()):
@@ -292,16 +315,19 @@ def check_tree(g: PortGraph, result, leader: int) -> list[str]:
 def check_butterflies(g: PortGraph, result, leader: int) -> list[str]:
     """Problems with a counting run's ``ButterflyCount``: total and per-node
     counts against the oracle, each side's sum against twice the total, and
-    ``check_tree`` on its election.  [] when all hold."""
+    ``check_tree`` on its election.  [] when all hold.  The coloring and the
+    per-node counts are computed once and shared by all three checks."""
     problems = []
-    want_total = oracle_total_butterflies(g)
+    color = oracle_coloring(g)
+    per_node = _two_hop_counts(g)
+    want_total = _checked_total(g, color, per_node, lambda g: _enumerate(g, color))
     if result.total != want_total:
         problems.append(f"total {result.total}, oracle says {want_total}")
     home = result.election.tree.home_node
     got = {home[aid]: c for aid, c in result.per_node.items()}
-    problems += diff_per_node(got, dict(enumerate(oracle_per_node_butterflies(g))))
+    problems += diff_per_node(got, dict(enumerate(per_node)))
     part = result.election.partition
     half = tuple(sum(c for a, c in result.per_node.items() if part[a] == s) for s in (0, 1))
     if half != (2 * result.total, 2 * result.total):
         problems.append(f"side sums {half} != twice the total {2 * result.total}")
-    return problems + check_tree(g, result.election, leader)
+    return problems + _check_tree(g, result.election, leader, color)

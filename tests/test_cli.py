@@ -149,7 +149,7 @@ def test_round_budget_exit_code(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     # sabotage the reference count: verification must notice and fail
-    monkeypatch.setattr("butterfly_agents.oracle.oracle_total_butterflies", lambda g: 999)
+    monkeypatch.setattr("butterfly_agents.oracle._checked_total", lambda *args: 999)
     rc = cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--verify"])
     assert rc == 1
     assert "VERIFY FAIL" in capsys.readouterr().err
@@ -202,7 +202,7 @@ def test_illegal_port_exits_1(capsys, monkeypatch):
 
 
 def test_oracle_self_check_failure_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("butterfly_agents.oracle.enumerate_butterflies", lambda g: 999)
+    monkeypatch.setattr("butterfly_agents.oracle._enumerate", lambda g, color: 999)
     rc = cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--verify"])
     assert rc == 1
     assert capsys.readouterr().err == (
@@ -251,7 +251,11 @@ def test_bad_sweep_sizes_is_a_config_error(capsys):
 
 
 def test_bad_sweep_shape_or_probability_is_a_config_error(capsys):
-    for argv in (["sweep", "--sizes", "0x3"], ["sweep", "--edge-prob", "1.5"]):
+    for argv in (
+        ["sweep", "--sizes", "0x3"],
+        ["sweep", "--edge-prob", "1.5"],
+        ["sweep", "--sizes", "65536x65537"],  # more than 2**32 cross pairs
+    ):
         assert cli.main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == ""  # rejected before the CSV header is written

@@ -1,11 +1,14 @@
 """Graph construction, validation, and the text round-trip."""
 
 import hashlib
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from butterfly_agents import graphs
 from butterfly_agents.graphs import (
     GraphFormatError,
     build_port_graph,
@@ -153,3 +156,38 @@ def test_random_bipartite_always_valid(a, b, prob, seed):
     assert validate(g) == []
     assert len(bip.side) == a + b
     assert sum(1 for s in bip.side if s == 0) == a
+
+
+def test_random_bipartite_ranking_takes_four_bytes_a_pair():
+    # 256 + 256 at p = 0.005 needs augmentation.  The ranking's 4·a·b =
+    # 256 KiB is the one Θ(a·b) allocation; everything else (draws,
+    # union-find, the port graph) measured 428 KiB on CPython 3.11, budgeted
+    # below at 560 KiB.  With an 8-byte ranking the peak was 945 KiB.
+    a, b, prob, seed = 256, 256, 0.005, 3
+    rng = random.Random(seed)
+    drawn = sum(rng.random() < prob for _ in range(a * b))
+    g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
+    assert g.edge_count > drawn  # the ranking was walked
+    # That first call also filled the interpreter's tuple free lists, so the
+    # traced one's peak does not depend on which tests ran before.
+    tracemalloc.start()
+    try:
+        make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * a * b + 560 * 1024
+
+
+def test_random_bipartite_rejects_more_than_2_32_pairs_before_any_draw(monkeypatch):
+    class Drew(Exception):
+        pass
+
+    def no_draws(seed):
+        raise Drew
+
+    monkeypatch.setattr(graphs.random, "Random", no_draws)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        make_random_connected_bipartite(1 << 16, (1 << 16) + 1, 0.5, 0)
+    with pytest.raises(Drew):  # exactly 2**32 pairs passes the check
+        make_random_connected_bipartite(1 << 16, 1 << 16, 0.5, 0)

@@ -10,6 +10,7 @@ four-corner enumeration.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +27,15 @@ from butterfly_agents.graphs import (
 from butterfly_agents.oracle import (
     NotBipartite,
     OracleMismatch,
+    check_butterflies,
     check_spanning_tree,
     enumerate_butterflies,
     oracle_coloring,
     oracle_per_node_butterflies,
     oracle_total_butterflies,
 )
+from butterfly_agents.protocols.butterfly import count_butterflies
+from butterfly_agents.runtime import place_dispersed
 
 
 def pair_formula_per_node(g):
@@ -195,6 +199,58 @@ def test_side_sum_mismatches_are_typed_errors(monkeypatch):
     monkeypatch.setattr(oracle, "oracle_per_node_butterflies", lambda g: [1, 0, 1, 0])
     with pytest.raises(OracleMismatch, match="side sum 1 is odd"):
         oracle_total_butterflies(g)
+
+
+# The functions that do an oracle's work: the BFS coloring, the two-hop
+# per-node count and the four-node enumeration, and the public wrappers
+# around the last two.
+WORK = (
+    "oracle_coloring",
+    "_two_hop_counts",
+    "_enumerate",
+    "oracle_per_node_butterflies",
+    "enumerate_butterflies",
+    "oracle_total_butterflies",
+)
+
+
+def count_work(monkeypatch):
+    calls = Counter()
+    for name in WORK:
+        def counted(*args, _name=name, _fn=getattr(oracle, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("a, b, enumerations", [(3, 4, 1), (40, 40, 0)])
+def test_check_butterflies_colors_and_counts_once(monkeypatch, a, b, enumerations):
+    g, _ = make_random_connected_bipartite(a, b, edge_prob=0.3, seed=9)
+    res = count_butterflies(g, place_dispersed(g, range(g.node_count)))
+    calls = count_work(monkeypatch)
+    assert check_butterflies(g, res, 0) == []
+    assert calls == Counter(oracle_coloring=1, _two_hop_counts=1, _enumerate=enumerations)
+
+
+def test_public_oracles_keep_their_work(monkeypatch):
+    # each public function still colors on its own, so a caller timing one
+    # of them (as the benchmark does) times the same work as before
+    g, _ = make_complete_bipartite(3, 4)
+    calls = count_work(monkeypatch)
+    oracle.oracle_total_butterflies(g)
+    assert calls == Counter(
+        oracle_total_butterflies=1,
+        oracle_coloring=3,
+        oracle_per_node_butterflies=1,
+        _two_hop_counts=1,
+        enumerate_butterflies=1,
+        _enumerate=1,
+    )
+    calls.clear()
+    oracle.oracle_per_node_butterflies(g)
+    assert calls == Counter(oracle_per_node_butterflies=1, oracle_coloring=1, _two_hop_counts=1)
 
 
 def test_spanning_tree_checker_accepts_a_line():
