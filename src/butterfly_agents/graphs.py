@@ -225,6 +225,7 @@ def make_random_connected_bipartite(
         edges.append((i, a + j))
         root[ri] = rj
         components -= 1
+    del ranking  # 4·a·b bytes; the port draws and the graph build need none of it
 
     degree = [0] * n
     for u, v in edges:

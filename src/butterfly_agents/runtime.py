@@ -38,19 +38,27 @@ The engine-program contract:
 
 Per-round cost model.  Host work in a round is proportional to the agents
 stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
-a trace is recorded.  The calendar maps a round to the ranks scheduled for
-it (rank = position in ascending id order) and a heap holds each pending
-round once; an entry is live while the agent's ``wake_round`` still names
-that round, so rescheduling never searches the calendar.  Bit widths (id,
-port, degree and every declared scratch key) are resolved into one int
-table per run, after ``on_start``, so a dirty step's accounting is one
-lookup per live scratch key, and a step that only rewrites values (most
-election steps) costs no accounting at all.  Each node's occupants are
-kept in rank order as agents arrive and leave, so at the start of a round
-each crowded node's snapshot tuple is built once, in ascending id order,
-with no sort, and every agent there gets that tuple with itself left out.
-A snapshot copies only what the program publishes, so a crowd costs
-nothing for the scratch or tables nobody reads.  Snapshots are round-start
+a trace is recorded.  Ranks (rank = position in ascending id order) wait
+for their wake in one of two places.  A step that keeps the default wake
+appends its rank to the next-round lane, which is already in rank order
+because the sweep is.  Only later wakes go to the calendar, which maps a
+round to the ranks scheduled for it while a heap holds each pending round
+once; a calendar entry is live while the agent's ``wake_round`` still
+names that round, so rescheduling never searches the calendar.  A round
+with no calendar slot and no crowd steps the lane as it stands, with no
+set and no sort; any other round merges the lane, the live calendar
+entries and the crowds' occupants into one sorted due set.  Bit widths
+(id, port, degree and every declared scratch key) are resolved into one
+int table per run, after ``on_start``, and the engine recounts inline,
+with the widths held in locals (``account_memory`` is the same formula as
+a function): a dirty step's accounting is one lookup per live scratch
+key, and a step that only rewrites values (most election steps) costs no
+accounting at all.  Each node's occupants are kept in rank order as agents
+arrive and leave, so at the start of a round each crowded node's snapshot
+tuple is built once, in ascending id order, with no sort, and every agent
+there gets that tuple with itself left out; a round with no crowd looks up
+no views.  A snapshot copies only what the program publishes, so a crowd
+costs nothing for the scratch or tables nobody reads.  Snapshots are round-start
 copies, so nothing an agent writes during its step is visible to another
 agent before the next round.  The round is then one sweep over the stepped
 agents in ascending rank: each is stepped, its move applied, its memory
@@ -530,9 +538,17 @@ def run(
     copy_table = published is None or "neighbor_list" in published
     copy_scratch = published is None or any(k != "neighbor_list" for k in published)
 
+    # _memory_bits, inlined at phase start and in the sweep: one call fewer per recount
+    fixed, entry, scratch = widths
+    scratch_bits = scratch.get
+    zeros = repeat(0)
     peak: dict[int, int] = {}
     for s in states:
-        peak[s.id] = _memory_bits(s, widths)
+        peak[s.id] = (
+            fixed
+            + entry * (len(s.neighbor_list) + len(s.counters))
+            + sum(map(scratch_bits, s.phase_state, zeros))
+        )
         s.dirty = False
 
     # node -> ranks standing there, ascending
@@ -546,7 +562,9 @@ def run(
 
     # Wake calendar: round -> ranks scheduled for it, plus a heap holding
     # each pending round once.  An entry is live while the agent's
-    # wake_round still names its round.
+    # wake_round still names its round.  The lane holds the ranks a sweep
+    # left on the default wake, in rank order; every lane entry is live.
+    lane: list[int] = []
     calendar: dict[int, list[int]] = {}
     for r, s in enumerate(by_id):
         if s.wake_round < NEVER:
@@ -571,7 +589,7 @@ def run(
         else:
             while pending and pending[0] < rnd:
                 del calendar[heappop(pending)]  # a negative round set by on_start
-            if not crowded and not (pending and pending[0] == rnd):
+            if not (lane or crowded or (pending and pending[0] == rnd)):
                 # Nothing due and nobody co-located: fast-forward.
                 if not pending:
                     raise RoundLimitExceeded(
@@ -589,14 +607,19 @@ def run(
                     for r in range(rnd, skip_to):
                         trace.extend((r, a, v, "stay", None) for a, v in here)
                 rnd = skip_to
-            if pending and pending[0] == rnd:
-                heappop(pending)
-                due = {r for r in calendar.pop(rnd) if by_id[r].wake_round == rnd}
+            booked = calendar.pop(heappop(pending)) if pending and pending[0] == rnd else None
+            if booked is None and not crowded:
+                active = lane  # the last sweep filled it in rank order
             else:
-                due = set()
-            for node in crowded:
-                due.update(occupants[node])
-            active = sorted(due)
+                due = set(lane)
+                if booked is not None:
+                    due.update([r for r in booked if by_id[r].wake_round == rnd])
+                for node in crowded:
+                    due.update(occupants[node])
+                active = sorted(due)
+        lane = []
+        lane_append = lane.append
+        nxt = rnd + 1
 
         # Communicate: one round-start snapshot tuple per crowded node,
         # holding what the program publishes; each agent there sees it with
@@ -630,9 +653,9 @@ def run(
         for r in active:
             state = by_id[r]
             node = state.current_node
-            colocated = colocated_of.get(r, ())
+            colocated = colocated_of.get(r, ()) if colocated_of else ()
             deg = degree[node]
-            state.wake_round = rnd + 1  # the default; programs set only later rounds
+            state.wake_round = nxt  # the default; programs set only later rounds
             port = step(state, _new_record(StepView, (
                 rnd, node == state.home_node, state.entered_port, deg, colocated
             )))
@@ -664,7 +687,11 @@ def run(
                     dest_occ.append(r)
 
             if state.dirty:
-                bits = _memory_bits(state, widths)
+                bits = (
+                    fixed
+                    + entry * (len(state.neighbor_list) + len(state.counters))
+                    + sum(map(scratch_bits, state.phase_state, zeros))
+                )
                 if bits > peak[state.id]:
                     peak[state.id] = bits
                 state.dirty = False
@@ -673,9 +700,10 @@ def run(
                 done[r] = is_done
                 undone += -1 if is_done else 1
             wake = state.wake_round
-            if wake <= rnd:  # "now" means next round
-                wake = state.wake_round = rnd + 1
-            if wake < NEVER and not always_step:
+            if wake <= nxt:  # "now" means next round
+                state.wake_round = nxt
+                lane_append(r)
+            elif wake < NEVER and not always_step:
                 slot = calendar.get(wake)
                 if slot is None:
                     calendar[wake] = [r]
@@ -689,6 +717,6 @@ def run(
                 if r not in stepped:
                     trace.append((rnd, s.id, s.current_node, "stay", None))
 
-        rnd += 1
+        rnd = nxt
 
     return RunResult(rounds=rnd, peak_bits=peak, trace=trace)

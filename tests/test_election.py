@@ -19,7 +19,7 @@ from butterfly_agents.graphs import (
 from butterfly_agents.oracle import check_spanning_tree, oracle_coloring
 from butterfly_agents.protocols import election
 from butterfly_agents.protocols.election import elect_leader_and_tree
-from butterfly_agents.runtime import PhaseInvariantError, place_dispersed
+from butterfly_agents.runtime import PhaseInvariantError, id_bits, place_dispersed
 
 
 def elect(g, ids, lam=None, **kw):
@@ -85,6 +85,23 @@ def test_descending_ids_along_a_path():
     assert_election_sound(g, ids, res)
     assert all(s.treelabel == 1 for s in cfg.states)
     assert all(s.leader == (s.id == 1) for s in cfg.states)
+
+
+# Descending odd ids 2n-1, 2n-3, ..., 1 on a path with lam = 2n: the
+# family on which the O(n log lam) round bound is tight.  The totals were
+# measured once; 16 is A3's pinned constant.
+WORST_CASE_PATH_ROUNDS = {16: 727, 32: 1771, 64: 4127, 128: 9363}
+
+
+@pytest.mark.parametrize("n", sorted(WORST_CASE_PATH_ROUNDS))
+def test_worst_case_path_elections_stay_within_a3(n):
+    g, _ = make_path(n)
+    ids = list(range(2 * n - 1, 0, -2))
+    lam = 2 * n
+    _, res = elect(g, ids, lam=lam)
+    assert res.leader_id == 1
+    assert res.report.rounds_total <= 16 * n * id_bits(lam)
+    assert res.report.rounds_total == WORST_CASE_PATH_ROUNDS[n]
 
 
 def test_cliques_elect_the_minimum():

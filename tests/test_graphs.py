@@ -1,8 +1,10 @@
 """Graph construction, validation, and the text round-trip."""
 
+import array
 import hashlib
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -177,6 +179,34 @@ def test_random_bipartite_ranking_takes_four_bytes_a_pair():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * a * b + 560 * 1024
+
+
+def test_random_bipartite_ranking_is_freed_before_the_graph_build(monkeypatch):
+    # The ranking is needed only by the augmentation loop; the port draws
+    # and build_port_graph must not run with its 4·a·b bytes still alive.
+    class Ranking(array.array):  # a plain array takes no weak references
+        pass
+
+    refs = []
+
+    def tracked_array(*args):
+        ranking = Ranking(*args)
+        refs.append(weakref.ref(ranking))
+        return ranking
+
+    alive_at_build = []
+    build = graphs.build_port_graph
+
+    def watched_build(*args, **kwargs):
+        alive_at_build.extend(ref() is not None for ref in refs)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "array", tracked_array)
+    monkeypatch.setattr(graphs, "build_port_graph", watched_build)
+    a, b, prob, seed = 256, 256, 0.005, 3
+    g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
+    assert validate(g) == []
+    assert alive_at_build == [False]
 
 
 def test_random_bipartite_rejects_more_than_2_32_pairs_before_any_draw(monkeypatch):

@@ -224,7 +224,8 @@ class Scripted(AgentProgram):
     """Logs every step; ports and wake rounds follow a fixed script.
 
     ``script[(round, id)]`` is the (port, next wake round) an agent returns
-    when stepped; a step off the script stays and sleeps for good.
+    when stepped; a step off the script stays and sleeps for good.  A
+    second step of one agent in one round fails at once.
     """
 
     name = "scripted"
@@ -233,12 +234,16 @@ class Scripted(AgentProgram):
         self.first_wake = first_wake
         self.script = script
         self.steps = []  # (round, id, ids seen co-located)
+        self.stepped = set()  # (round, id)
 
     def on_start(self, states, ctx):
         for s in states:
             s.wake_round = self.first_wake.get(s.id, NEVER)
 
     def step(self, state, view):
+        key = (view.round, state.id)
+        assert key not in self.stepped, f"agent {state.id} stepped twice in round {view.round}"
+        self.stepped.add(key)
         self.steps.append((view.round, state.id, [o.id for o in view.colocated]))
         port, state.wake_round = self.script.get((view.round, state.id), (None, NEVER))
         return port
@@ -430,6 +435,88 @@ def test_agent_scheduled_twice_for_a_round_steps_once():
         (5, 1, [0]),
         (6, 1, []),
     ]
+
+
+def test_lane_agent_crowded_by_a_visitor_steps_once():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [0, 1])
+    # agent 1 is on default wakes; agent 0 arrives at round 2 and sleeps,
+    # so in round 3 agent 1 is both next-round due and crowded
+    script = {(rnd, 1): (None, rnd + 1) for rnd in range(4)}
+    script.update({(2, 0): (0, NEVER), (3, 0): (0, NEVER), (4, 1): (None, NEVER)})
+    prog = Scripted({0: 2, 1: 0}, script)
+    result = run(g, cfg, prog)
+    assert prog.steps == [
+        (0, 1, []),
+        (1, 1, []),
+        (2, 0, []),
+        (2, 1, []),
+        (3, 0, [1]),
+        (3, 1, [0]),
+        (4, 1, []),
+    ]
+    assert result.rounds == 5
+
+
+def test_round_mixing_lane_calendar_and_crowd_steps_in_id_order():
+    g, _ = make_path(4)
+    cfg = place_dispersed(g, [1, 4, 2, 3])
+    # round 3: agent 1 is due from the calendar, 3 from the lane, and 2
+    # (a visitor that came to node 1 in round 2) and 4 (asleep) are crowded
+    script = {(rnd, 3): (None, rnd + 1) for rnd in range(4)}
+    script.update({
+        (2, 2): (0, NEVER),
+        (3, 1): (None, NEVER),
+        (3, 2): (1, NEVER),
+        (3, 4): (None, NEVER),
+        (4, 3): (None, NEVER),
+    })
+    prog = Scripted({1: 3, 2: 2, 3: 0}, script)
+    result = run(g, cfg, prog)
+    assert prog.steps == [
+        (0, 3, []),
+        (1, 3, []),
+        (2, 2, []),
+        (2, 3, []),
+        (3, 1, []),
+        (3, 2, [4]),
+        (3, 3, []),
+        (3, 4, [2]),
+        (4, 3, []),
+    ]
+    assert result.rounds == 5
+
+
+def test_agents_leaving_the_lane_are_not_stepped_next_round():
+    g, _ = make_path(3)
+    cfg = place_dispersed(g, [0, 1, 2])
+    # after round 2, agent 0 sleeps for good and agent 1 until round 5;
+    # agent 2 stays on default wakes, so rounds 3 and 4 step the lane alone
+    script = {(rnd, 2): (None, rnd + 1) for rnd in range(6)}
+    script.update({(rnd, a): (None, rnd + 1) for rnd in range(2) for a in (0, 1)})
+    script.update({(2, 0): (None, NEVER), (2, 1): (None, 5), (5, 1): (None, NEVER)})
+    prog = Scripted({0: 0, 1: 0, 2: 0}, script)
+    result = run(g, cfg, prog)
+    assert [(rnd, agent) for rnd, agent, _ in prog.steps] == [
+        (0, 0), (0, 1), (0, 2),
+        (1, 0), (1, 1), (1, 2),
+        (2, 0), (2, 1), (2, 2),
+        (3, 2),
+        (4, 2),
+        (5, 1), (5, 2),
+        (6, 2),
+    ]
+    assert result.rounds == 7
+
+
+def test_lone_agent_on_default_wakes_ends_in_the_exact_round():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [0, 1])
+    script = {(rnd, 0): (None, rnd + 1) for rnd in range(9)}
+    prog = Scripted({0: 0}, script)  # agent 1 sleeps at home from the start
+    result = run(g, cfg, prog)
+    assert prog.steps == [(rnd, 0, []) for rnd in range(10)]
+    assert result.rounds == 10
 
 
 def test_round_limit_raises():
