@@ -132,16 +132,14 @@ def cmd_run(args) -> int:
     )
 
     problems: list[str] = []
+    settings = {"max_rounds": args.max_rounds, "record_trace": args.trace is not None}
 
     if args.protocol == "meeting-demo":
         targets = {s.id: (0 if graph.degree(s.home_node) > 0 else None)
                    for s in config.states}
         program = MeetingWindowProgram(lam=config.lam, targets=targets)
-        timeline = Timeline(args.trace is not None)
-        timeline.add("meeting", run(
-            graph, config, program,
-            max_rounds=args.max_rounds, record_trace=args.trace is not None,
-        ))
+        timeline = Timeline(**settings)
+        timeline.add("meeting", run(graph, config, program, **timeline.settings))
         trace = timeline.trace
         report = timeline.report({
             "window_rounds": window_length(config.lam),
@@ -160,10 +158,7 @@ def cmd_run(args) -> int:
         leader = args.leader if args.leader is not None else min(ids)
         if leader not in set(ids):
             raise CliError(f"--leader {leader} is not among the agent ids")
-        res = known_leader_tree(
-            graph, config, leader,
-            max_rounds=args.max_rounds, record_trace=args.trace is not None,
-        )
+        res = known_leader_tree(graph, config, leader, **settings)
         report, trace = res.report, res.trace
         if args.verify:
             problems += check_tree(graph, res, leader)
@@ -172,18 +167,12 @@ def cmd_run(args) -> int:
             if spent > budget:
                 problems.append(f"assignment took {spent} rounds, budget {budget}")
     elif args.protocol == "election":
-        res = elect_leader_and_tree(
-            graph, config,
-            max_rounds=args.max_rounds, record_trace=args.trace is not None,
-        )
+        res = elect_leader_and_tree(graph, config, **settings)
         report, trace = res.report, res.trace
         if args.verify:
             problems += check_tree(graph, res, min(ids))
     elif args.protocol == "butterfly-full":
-        res = count_butterflies(
-            graph, config,
-            max_rounds=args.max_rounds, record_trace=args.trace is not None,
-        )
+        res = count_butterflies(graph, config, **settings)
         report, trace = res.report, res.trace
         if args.verify:
             problems += check_butterflies(graph, res, min(ids))

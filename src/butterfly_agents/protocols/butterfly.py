@@ -33,7 +33,6 @@ from ..runtime import (
     PhaseInvariantError,
     RunContext,
     RunReport,
-    RunResult,
     SimConfig,
     Snapshot,
     StepView,
@@ -238,25 +237,30 @@ def fold_and_halve(
     values: dict[int, int],
     *,
     value_width: int,
-    max_rounds: int | None = None,
-    record_trace: bool = False,
-) -> tuple[int, RunResult, RunResult]:
-    """Sum per-node counts up the tree, halve at the root, push back down."""
+    timeline: Timeline | None = None,
+) -> int:
+    """Sum per-node counts up the tree, halve at the root, push back down.
+
+    Adds phases ``total_fold`` and ``total_push`` to ``timeline`` (a fresh
+    one with default settings if None) and returns the total.
+    """
+    if timeline is None:
+        timeline = Timeline()
     doubled, fold = convergecast(
-        graph, config, tree, values, operator.add,
-        value_width=value_width, max_rounds=max_rounds, record_trace=record_trace,
+        graph, config, tree, values, operator.add, value_width=value_width, **timeline.settings
     )
+    timeline.add("total_fold", fold)
     if doubled % 2:
         raise OddButterflySum("total_fold", [tree.root_id], f"holds the odd per-node sum {doubled}")
     total = doubled // 2
     received, push = broadcast_down(
-        graph, config, tree, total,
-        value_width=value_width, max_rounds=max_rounds, record_trace=record_trace,
+        graph, config, tree, total, value_width=value_width, **timeline.settings
     )
+    timeline.add("total_push", push)
     missing = [aid for aid, got in received.items() if got != total]
     if missing:
         raise PhaseInvariantError("total_push", missing, f"did not receive the total {total}")
-    return total, fold, push
+    return total
 
 
 def count_butterflies(
@@ -271,8 +275,8 @@ def count_butterflies(
     Phases 1-2 run once per side, so ``per_node`` covers every agent and
     both sides' sweeps check for same-side edges.
     """
-    timeline = Timeline(record_trace)
-    election = _elect(graph, config, timeline, max_rounds)
+    timeline = Timeline(max_rounds, record_trace)
+    election = _elect(graph, config, timeline)
     per_node: dict[int, int] = {}
 
     def sweep(side: int, tag: str) -> None:
@@ -280,9 +284,7 @@ def count_butterflies(
             ("neighbor_scan_", NeighborScanProgram(side)),
             ("wedge_count_", WedgeCountProgram(side)),
         ):
-            timeline.add(phase + tag, run(
-                graph, config, program, max_rounds=max_rounds, record_trace=record_trace
-            ))
+            timeline.add(phase + tag, run(graph, config, program, **timeline.settings))
         for s in config.states:
             if s.partition == side:
                 per_node[s.id] = s.phase_state["bfly"]
@@ -294,13 +296,9 @@ def count_butterflies(
     values = {s.id: per_node.get(s.id, 0) for s in config.states}
     lw = id_bits(config.lam)
     dw = max(graph.max_degree.bit_length(), 1)
-    total, fold, push = fold_and_halve(
-        graph, config, election.tree, values,
-        value_width=2 * lw + 2 * dw + 2, max_rounds=max_rounds,
-        record_trace=record_trace,
+    total = fold_and_halve(
+        graph, config, election.tree, values, value_width=2 * lw + 2 * dw + 2, timeline=timeline
     )
-    timeline.add("total_fold", fold)
-    timeline.add("total_push", push)
 
     sweep(1, "b")
 

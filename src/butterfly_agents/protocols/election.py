@@ -319,19 +319,15 @@ def elect_leader_and_tree(
     of the bipartition, and the graph totals ``(n, side counts, max degree,
     degree sum)``.
     """
-    timeline = Timeline(record_trace)
+    timeline = Timeline(max_rounds, record_trace)
     # this timeline holds only these two phases, so its trace is the result's
-    return replace(_elect(graph, config, timeline, max_rounds), trace=timeline.trace)
+    return replace(_elect(graph, config, timeline), trace=timeline.trace)
 
 
-def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None) -> TreeResult:
+def _elect(graph, config: SimConfig, timeline: Timeline) -> TreeResult:
     """Add phases ``election`` and ``downcast`` to ``timeline``; the
     result's report covers the timeline up to the downcast, its trace is None."""
-    result = run(
-        graph, config, ElectionProgram(),
-        max_rounds=max_rounds, record_trace=timeline.trace is not None,
-    )
-    timeline.add("election", result)
+    timeline.add("election", run(graph, config, ElectionProgram(), **timeline.settings))
 
     roots = [s for s in config.states if s.parent is None]
     if len(roots) != 1:
@@ -344,7 +340,7 @@ def _elect(graph, config: SimConfig, timeline: Timeline, max_rounds: int | None)
         raise PhaseInvariantError(
             "election", stray, f"ended on a tree label other than leader {leader.id}"
         )
-    res = deliver_aggregates(graph, config, leader, timeline, max_rounds)
+    res = deliver_aggregates(graph, config, leader, timeline)
     payload = res.payload
     return replace(res, report=timeline.report({
         "leader": leader.id,

@@ -272,7 +272,7 @@ class TreeResult:
 
 
 def deliver_aggregates(
-    graph, config: SimConfig, root: AgentState, timeline: Timeline, max_rounds: int | None
+    graph, config: SimConfig, root: AgentState, timeline: Timeline
 ) -> TreeResult:
     """Close a finished tree protocol and push its totals down the tree.
 
@@ -292,8 +292,7 @@ def deliver_aggregates(
     dw = max(graph.max_degree.bit_length(), 1)
     value = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
     received, result = broadcast_down(
-        graph, config, tree, value, value_width=3 * lw + dw + (lw + dw),
-        max_rounds=max_rounds, record_trace=timeline.trace is not None,
+        graph, config, tree, value, value_width=3 * lw + dw + (lw + dw), **timeline.settings
     )
     timeline.add("downcast", result)
     return TreeResult(root.id, tree, partition, payload, received)
@@ -313,15 +312,15 @@ def known_leader_tree(
     up to the round the last agent took its side, ``aggregation`` after.
     """
     program = KnownLeaderProgram(leader_id)
-    timeline = Timeline(record_trace)
-    result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
+    timeline = Timeline(max_rounds, record_trace)
+    result = run(graph, config, program, **timeline.settings)
     timeline.add("assignment", result)
     assignment = program.last_assigned_round + 1
     timeline.rounds_per_phase["assignment"] = assignment
     timeline.rounds_per_phase["aggregation"] = result.rounds - assignment
 
     leader_state = next(s for s in config.states if s.id == leader_id)
-    res = deliver_aggregates(graph, config, leader_state, timeline, max_rounds)
+    res = deliver_aggregates(graph, config, leader_state, timeline)
     payload = res.payload
     report = timeline.report({
         "leader": leader_id,

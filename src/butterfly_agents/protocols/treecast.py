@@ -24,7 +24,6 @@ from ..runtime import (
     AgentProgram,
     AgentState,
     RunContext,
-    RunReport,
     RunResult,
     SimConfig,
     StepView,
@@ -68,20 +67,6 @@ class TreeEdgeSet:
             parent_node, _ = graph.neighbor_via(self.home_node[a], p)
             kids[node_owner[parent_node]].append(a)
         return kids
-
-    def depth_map(self, graph) -> dict[int, int]:
-        """agent id -> tree depth (root at 0)."""
-        kids = self.children_map(graph)
-        depth = {self.root_id: 0}
-        frontier = [self.root_id]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for c in kids[a]:
-                    depth[c] = depth[a] + 1
-                    nxt.append(c)
-            frontier = nxt
-        return depth
 
 
 def tree_from_states(states: list[AgentState]) -> TreeEdgeSet:

@@ -199,22 +199,6 @@ _new_record = tuple.__new__  # builds a NamedTuple without its Python __new__
 _UNPUBLISHED: Mapping[str, Any] = MappingProxyType({})
 
 
-def _snapshot(state: AgentState) -> Snapshot:
-    """A round-start snapshot of ``state`` with everything published, as a
-    program with the default ``published`` sees it (the engine builds its
-    snapshots inline)."""
-    return _new_record(Snapshot, (
-        state.id,
-        state.current_node == state.home_node,
-        state.entered_port,
-        state.partition,
-        state.child,
-        state.treelabel,
-        tuple(state.neighbor_list),
-        dict(state.phase_state),
-    ))
-
-
 class StepView(NamedTuple):
     """What one agent gets to see during its Compute stage."""
 
@@ -460,9 +444,14 @@ class Timeline:
     which credits the rounds to the phase, folds the per-agent peaks into
     running maxima and appends the trace shifted by the rounds before it.
     ``report`` turns the phases added so far into a ``RunReport``.
+
+    It also holds the settings every phase shares: each phase passes
+    ``**timeline.settings`` (the round budget per phase and the trace
+    switch) to its engine call.
     """
 
-    def __init__(self, record_trace: bool = False):
+    def __init__(self, max_rounds: int | None = None, record_trace: bool = False):
+        self.settings = {"max_rounds": max_rounds, "record_trace": record_trace}
         self.rounds = 0
         self.rounds_per_phase: dict[str, int] = {}
         self.peak: dict[int, int] = {}

@@ -40,8 +40,8 @@ from butterfly_agents.protocols.election import elect_leader_and_tree
 from butterfly_agents.runtime import (
     AgentState,
     PhaseInvariantError,
+    Snapshot,
     StepView,
-    _snapshot,
     place_dispersed,
 )
 
@@ -193,10 +193,9 @@ def test_same_side_resident_is_a_typed_scan_failure(program):
     # a mover that finds a resident of its own side at home must not log it
     mover = AgentState(id=3, home_node=0, current_node=1, partition=0, entered_port=0)
     mover.phase_state = {"mydeg": 2, "scan_done": False, "bfly": 0}
-    host = AgentState(id=5, home_node=1, current_node=1, partition=0)
-    host.neighbor_list = [(0, 3), (1, 8)]
-    view = StepView(round=1, at_home=False, entered_port=0, degree_here=2,
-                    colocated=(_snapshot(host),))
+    host = Snapshot(id=5, at_home=True, entered_port=None, partition=0, child=None,
+                    treelabel=0, neighbor_list=((0, 3), (1, 8)), scratch={})
+    view = StepView(round=1, at_home=False, entered_port=0, degree_here=2, colocated=(host,))
     with pytest.raises(NotBipartiteSwarm, match="agent 5 of its own side") as info:
         program(0).step(mover, view)
     assert (info.value.agent, info.value.port, info.value.round) == (3, 0, 1)
@@ -214,9 +213,9 @@ def test_scan_failure_names_the_phase(make):
 def test_wedge_count_failure_names_its_phase():
     mover = AgentState(id=3, home_node=0, current_node=1, partition=0, entered_port=0)
     mover.phase_state = {"mydeg": 2, "scan_done": False, "bfly": 0}
-    host = AgentState(id=5, home_node=1, current_node=1, partition=0)
-    view = StepView(round=1, at_home=False, entered_port=0, degree_here=2,
-                    colocated=(_snapshot(host),))
+    host = Snapshot(id=5, at_home=True, entered_port=None, partition=0, child=None,
+                    treelabel=0, neighbor_list=(), scratch={})
+    view = StepView(round=1, at_home=False, entered_port=0, degree_here=2, colocated=(host,))
     with pytest.raises(NotBipartiteSwarm) as info:
         WedgeCountProgram(0).step(mover, view)
     assert info.value.phase == "wedge-count"

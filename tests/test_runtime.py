@@ -34,6 +34,7 @@ from butterfly_agents.runtime import (
     RoundLimitExceeded,
     RunContext,
     StepView,
+    Timeline,
     _degree_bits,
     account_memory,
     id_bits,
@@ -863,6 +864,46 @@ def test_dirty_gated_peaks_match_a_full_recount(monkeypatch):
     ]
     for name, recount, peak in phases:
         assert recount == peak, name
+
+
+def test_timeline_settings_reach_every_phase(monkeypatch):
+    """The round budget and the trace switch an entry point is given reach
+    every one of its engine calls, and ``fold_and_halve`` adds exactly its
+    two phases to the timeline it is handed."""
+    g, _ = make_complete_bipartite(3, 3)
+    ids = [4, 2, 7, 1, 5, 3]
+    knobs = {"max_rounds": 10_000, "record_trace": True}
+    seen = []
+
+    def spy(graph, config, program, **kwargs):
+        seen.append((program.name, {k: kwargs.get(k) for k in knobs}))
+        return run(graph, config, program, **kwargs)
+
+    for module in (election_module, known_leader_module, treecast_module, butterfly_module):
+        monkeypatch.setattr(module, "run", spy)
+    for entry, calls in (
+        (butterfly_module.count_butterflies, 8),
+        (elect_leader_and_tree, 2),
+        (lambda graph, config, **kw: known_leader_tree(graph, config, 1, **kw), 2),
+    ):
+        seen.clear()
+        entry(g, place_dispersed(g, ids), **knobs)
+        assert len(seen) == calls
+        for name, got in seen:
+            assert got == knobs, name
+
+    config = place_dispersed(g, ids)
+    tree = elect_leader_and_tree(g, config).tree
+    timeline = Timeline(**knobs)
+    seen.clear()
+    values = {s.id: 6 for s in config.states}
+    total = butterfly_module.fold_and_halve(
+        g, config, tree, values, value_width=16, timeline=timeline
+    )
+    assert total == 18
+    assert list(timeline.rounds_per_phase) == ["total_fold", "total_push"]
+    assert seen == [("convergecast", knobs), ("broadcast-down", knobs)]
+    assert len(timeline.trace) == timeline.rounds * g.node_count
 
 
 class StepAudit:

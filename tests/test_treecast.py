@@ -29,9 +29,9 @@ def line_tree():
 def test_tree_edge_set_views():
     g, tree = line_tree()
     assert tree.children_map(g) == {3: [7], 7: [1], 1: [9], 9: []}
-    assert tree.depth_map(g) == {3: 0, 7: 1, 1: 2, 9: 3}
     check = check_spanning_tree(g, tree.node_parent_ports(), root=0)
     assert check.ok and check.height == 3
+    assert {a: check.depth[node] for a, node in tree.home_node.items()} == {3: 0, 7: 1, 1: 2, 9: 3}
 
 
 def test_tree_from_states_requires_single_root():
