@@ -319,8 +319,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, NotBipartiteSwarm) as exc:
+    except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NotBipartiteSwarm as exc:
+        print(f"error: {exc} (phase {exc.phase})", file=sys.stderr)
         return 2
     except RoundLimitExceeded as exc:
         where = f"phase {exc.phase}, round {exc.round}"

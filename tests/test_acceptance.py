@@ -385,6 +385,6 @@ def test_a8_determinism_and_oracle_self_check():
         "A8",
         runs_identical and oracle_agrees,
         f"pipeline reruns byte-identical (report JSON and full trace); "
-        f"two-hop bitmask count and four-corner enumeration agree on {checked} "
+        f"two-hop count and four-corner enumeration agree on {checked} "
         f"graphs ≤ 64 nodes",
     )

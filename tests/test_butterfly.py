@@ -21,6 +21,8 @@ from butterfly_agents.graphs import (
 )
 from butterfly_agents.oracle import (
     NotBipartite,
+    check_butterflies,
+    check_spanning_tree,
     oracle_coloring,
     oracle_per_node_butterflies,
     oracle_total_butterflies,
@@ -42,6 +44,7 @@ from butterfly_agents.runtime import (
     PhaseInvariantError,
     Snapshot,
     StepView,
+    id_bits,
     place_dispersed,
 )
 
@@ -282,14 +285,17 @@ def test_oracle_agreement_property(seed):
 @st.composite
 def relabeled_instances(draw):
     """A connected bipartite graph of 1-6 nodes per side, rebuilt with its
-    edges shuffled, endpoints flipped and a random port order at every
-    node, plus a random permutation of random distinct ids."""
+    nodes renumbered, its edges shuffled, endpoints flipped and a random
+    port order at every node, plus a random permutation of random distinct
+    ids and an id bound λ: the largest id, 2^16 or 2^40.  Node v of the
+    base graph is node ``node[v]`` of the rebuilt one."""
     a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     base, _ = make_random_connected_bipartite(
         a, b, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**31))
     )
+    node = draw(st.permutations(range(base.node_count)))
     edges = [
-        (v, u) if draw(st.booleans()) else (u, v)
+        (node[v], node[u]) if draw(st.booleans()) else (node[u], node[v])
         for u, row in enumerate(base.adjacency)
         for v, _ in row
         if u < v
@@ -304,19 +310,51 @@ def relabeled_instances(draw):
     ids = draw(st.permutations(
         draw(st.lists(st.integers(0, 4 * (a + b)), min_size=a + b, max_size=a + b, unique=True))
     ))
-    return base, g, ids
+    lam = draw(st.sampled_from([max(ids), 2**16, 2**40]))
+    return base, node, g, ids, lam
 
 
 @settings(max_examples=100, deadline=None)
 @given(relabeled_instances())
 def test_counts_survive_port_edge_and_id_relabeling(case):
-    """Relabeling ports, reordering edges and permuting ids changes no
-    count: the total and every node's count are the unrelabeled graph's
-    oracle answers, and the minimum id leads."""
-    base, g, ids = case
-    _, res = count_on(g, ids)
+    """Renumbering nodes, relabeling ports, reordering edges, permuting ids
+    and raising λ changes no count: the total and every node's count are
+    the unrelabeled graph's oracle answers, and the minimum id leads.  The
+    election keeps A3's bounds (rounds <= 16·n·L; peak <= 24·L bits once
+    L >= 2, since at L = 1 the port, degree and flag fields alone exceed
+    24 bits) and A4's (tree diameter <= 2·min(|A|, |B|))."""
+    base, node, g, ids, lam = case
+    res = count_butterflies(g, place_dispersed(g, ids, lam=lam))
     assert res.total == oracle_total_butterflies(base)
-    assert {node: res.per_node[aid] for node, aid in enumerate(ids)} == dict(
+    assert {v: res.per_node[ids[node[v]]] for v in range(base.node_count)} == dict(
         enumerate(oracle_per_node_butterflies(base))
     )
     assert res.election.leader_id == min(ids)
+    n, width = g.node_count, id_bits(lam)
+    report = res.election.report
+    assert report.rounds_total <= 16 * n * width
+    if width >= 2:
+        assert max(report.peak_memory_bits.values()) <= 24 * width
+    tree = res.election.tree
+    check = check_spanning_tree(g, tree.node_parent_ports(), tree.home_node[tree.root_id])
+    side_a = oracle_coloring(g).count(0)
+    assert check.diameter <= 2 * min(side_a, n - side_a)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_port_graph(1, []),
+        lambda: make_complete_bipartite(1, 1)[0],
+        lambda: make_complete_bipartite(1, 7)[0],
+        lambda: make_complete_bipartite(7, 1)[0],
+    ],
+    ids=["single-node", "K1,1", "K1,7", "K7,1"],
+)
+def test_degenerate_shapes_count_and_check(make):
+    g = make()
+    ids = list(range(3, 3 + g.node_count))
+    res = count_butterflies(g, place_dispersed(g, ids))
+    assert res.total == 0
+    assert res.per_node == {aid: 0 for aid in ids}
+    assert check_butterflies(g, res, 3) == []

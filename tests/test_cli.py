@@ -118,6 +118,7 @@ def test_odd_cycle_is_a_config_error(capsys, monkeypatch):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: agent ") and "odd cycle" in err
+    assert err.rstrip().endswith("(phase neighbor-scan)")
 
 
 def test_verify_checks_partition_on_a_non_bipartite_graph(capsys, monkeypatch):

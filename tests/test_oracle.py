@@ -4,16 +4,16 @@ The counting values frozen here were computed from the closed form for
 complete bipartite graphs (each side-A vertex closes C(b,2)*(a-1)
 4-cycles in K_{a,b}) and cross-checked by explicit enumeration.
 
-The two-hop per-node oracle is also held against two references kept
-here: the pair formula over every same-side pair, and a per-node
-four-corner enumeration.
+The two-hop per-node oracle, and each of its two formulations, is also
+held against two references kept here: the pair formula over every
+same-side pair, and a per-node four-corner enumeration.
 """
 
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from butterfly_agents import oracle
@@ -127,7 +127,10 @@ def test_counting_matches_enumeration_on_random_graphs():
 
 
 def assert_per_node_matches_references(g):
+    """The oracle and both of its formulations, mask popcounts and walk
+    tallies, match the two references."""
     per = oracle_per_node_butterflies(g)
+    assert oracle._pair_counts(g, oracle_coloring(g)) == oracle._walk_counts(g) == per
     assert per == pair_formula_per_node(g)
     assert per == enumerate_per_node(g)
 
@@ -139,6 +142,9 @@ def assert_per_node_matches_references(g):
     prob=st.floats(min_value=0.0, max_value=1.0),
     seed=st.integers(min_value=0, max_value=2**16),
 )
+@example(a=1, b=1, prob=1.0, seed=0)
+@example(a=1, b=12, prob=0.0, seed=0)
+@example(a=12, b=1, prob=0.5, seed=0)
 def test_per_node_matches_both_references_on_random_graphs(a, b, prob, seed):
     g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
     assert_per_node_matches_references(g)
@@ -147,6 +153,7 @@ def test_per_node_matches_both_references_on_random_graphs(a, b, prob, seed):
 @pytest.mark.parametrize(
     "make",
     [
+        lambda: (build_port_graph(1, []), None),
         lambda: make_complete_bipartite(1, 9),
         lambda: make_complete_bipartite(9, 1),
         lambda: make_complete_bipartite(1, 1),
@@ -156,7 +163,7 @@ def test_per_node_matches_both_references_on_random_graphs(a, b, prob, seed):
         lambda: make_complete_bipartite(12, 12),
         lambda: make_complete_bipartite(2, 31),
     ],
-    ids=["K1,9", "K9,1", "K1,1", "path2", "path7", "path12", "K12,12", "K2,31"],
+    ids=["single-node", "K1,9", "K9,1", "K1,1", "path2", "path7", "path12", "K12,12", "K2,31"],
 )
 def test_per_node_matches_both_references_on_degenerate_shapes(make):
     g, _ = make()
@@ -166,7 +173,32 @@ def test_per_node_matches_both_references_on_degenerate_shapes(make):
 def test_per_node_matches_pair_formula_at_benchmark_scale():
     # the sparse benchmark shape; enumeration is out of reach at this size
     g, _ = make_random_connected_bipartite(1024, 1024, edge_prob=0.005, seed=2024)
-    assert oracle_per_node_butterflies(g) == pair_formula_per_node(g)
+    per = oracle_per_node_butterflies(g)
+    assert oracle._pair_counts(g, oracle_coloring(g)) == oracle._walk_counts(g) == per
+    assert per == pair_formula_per_node(g)
+
+
+@pytest.mark.parametrize(
+    "make, path",
+    [
+        (lambda: make_complete_bipartite(48, 48), "_pair_counts"),
+        (lambda: make_random_connected_bipartite(512, 512, edge_prob=0.01, seed=7), "_walk_counts"),
+    ],
+    ids=["K48,48", "512+512"],
+)
+def test_two_hop_count_picks_the_cheaper_formulation(monkeypatch, make, path):
+    # K48,48 has 2,256 same-side pairs against 221,184 walk steps; the
+    # sparse graph about 262k pairs against about 32k steps
+    g, _ = make()
+    picked = []
+    for name in ("_pair_counts", "_walk_counts"):
+        def recorded(*args, _name=name, _fn=getattr(oracle, name)):
+            picked.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, name, recorded)
+    oracle_per_node_butterflies(g)
+    assert picked == [path]
 
 
 def test_per_node_keeps_coloring_checks():

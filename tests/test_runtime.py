@@ -17,6 +17,7 @@ from butterfly_agents.graphs import (
     make_path,
     make_random_connected_bipartite,
 )
+from butterfly_agents.oracle import oracle_coloring
 from butterfly_agents.protocols import butterfly as butterfly_module
 from butterfly_agents.protocols import election as election_module
 from butterfly_agents.protocols import known_leader as known_leader_module
@@ -1010,6 +1011,48 @@ def test_dirty_gated_peaks_match_a_full_recount_beyond_the_pipeline(instance, mo
     ]
     for name, recount, peak in audit.phases:
         assert recount == peak, name
+
+
+@pytest.mark.parametrize("instance", ["A8", "K34", "K12,12"])
+def test_counting_tables_stay_within_their_length_bounds(instance, monkeypatch):
+    """After every step of both sweeps, an agent's neighbor table holds at
+    most deg(home) entries and its tally at most min(Δ(Δ-1), |own side| - 1):
+    one entry per edge, and one per same-side node two hops away."""
+    if instance == "K12,12":
+        g, _ = make_complete_bipartite(12, 12)
+        ids = random.Random(12).sample(range(48), 24)
+    else:
+        g, ids = audit_instance(instance)
+    color = oracle_coloring(g)
+    delta = g.max_degree
+    longest = collections.Counter()  # table name -> longest length seen
+    over = []  # (program name, agent id, table name, length, bound)
+
+    def audited_run(graph, config, program, **kwargs):
+        if isinstance(program, (NeighborScanProgram, WedgeCountProgram)):
+            step = program.step
+
+            def checked_step(state, view):
+                port = step(state, view)
+                side = color.count(color[state.home_node])
+                for table, bound in (
+                    ("neighbor_list", g.degree(state.home_node)),
+                    ("counters", min(delta * (delta - 1), side - 1)),
+                ):
+                    length = len(getattr(state, table))
+                    longest[table] = max(longest[table], length)
+                    if length > bound:
+                        over.append((program.name, state.id, table, length, bound))
+                return port
+
+            program.step = checked_step
+        return run(graph, config, program, **kwargs)
+
+    monkeypatch.setattr(butterfly_module, "run", audited_run)
+    butterfly_module.count_butterflies(g, place_dispersed(g, ids))
+    assert over == []
+    if instance == "K12,12":  # every other node of a side is two hops away
+        assert longest == {"neighbor_list": 12, "counters": 11}
 
 
 class RecordingScratch(collections.abc.Mapping):
