@@ -9,9 +9,10 @@ integers:
   same-side nodes w != v, with c = |N(v) & N(w)|, in whichever of two
   exact formulations the graph makes cheaper.  On dense graphs c is the
   popcount of two neighbor bitmasks, once per same-side pair.  On sparse
-  ones a Counter tallies the walks v-u-w, so the cost follows the wedges
-  of the graph, not the square of a side; this is the wedge view of
-  Sanei-Mehri et al., KDD 2018, and Wang et al., PVLDB 2019.
+  ones vertex priority (Wang et al., PVLDB 2019) finds each butterfly
+  once, from its highest-ranked corner by (degree, index), so the cost
+  follows the wedges of the graph, not the square of a side; see also
+  the wedge view of Sanei-Mehri et al., KDD 2018.
 * The total, checked three ways: both sides' per-node sums must agree and
   be even, and on graphs of at most 64 nodes the total must equal a
   direct four-node enumeration.  A failed self-check raises
@@ -24,9 +25,10 @@ integers:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from math import comb
 
 from .graphs import PortGraph
@@ -86,7 +88,7 @@ def oracle_per_node_butterflies(g: PortGraph) -> list[int]:
 
     B(v) = sum over same-side w != v of C(c, 2), c = |N(v) & N(w)|.  The
     count takes whichever of two exact formulations touches fewer items:
-    a popcount per same-side pair, or one step per two-hop walk v-u-w.
+    a popcount per same-side pair, or vertex-priority wedge tallies.
     The coloring runs first, so a graph with an odd cycle raises
     NotBipartite and a disconnected one ValueError.
     """
@@ -97,8 +99,9 @@ def _two_hop_counts(g: PortGraph, color: list[int]) -> list[int]:
     """``oracle_per_node_butterflies`` given the graph's coloring.
 
     The mask formulation visits the sum over sides s of C(|s|, 2) same-side
-    pairs; the walk formulation takes sum over v of deg(v)^2 steps, one per
-    walk v-u-w.  Ties go to the masks.
+    pairs.  The priority formulation tallies at most one end per two-hop
+    walk v-u-w, and there are sum over v of deg(v)^2 of those, so the
+    masks run unless that sum is smaller.  Ties go to the masks.
     """
     n = len(color)
     ones = sum(color)
@@ -106,7 +109,7 @@ def _two_hop_counts(g: PortGraph, color: list[int]) -> list[int]:
     walk_steps = sum(len(row) ** 2 for row in g.adjacency)
     if side_pairs <= walk_steps:
         return _pair_counts(g, color)
-    return _walk_counts(g)
+    return _priority_counts(g)
 
 
 def _pair_counts(g: PortGraph, color: list[int]) -> list[int]:
@@ -130,18 +133,44 @@ def _pair_counts(g: PortGraph, color: list[int]) -> list[int]:
     return counts
 
 
-def _walk_counts(g: PortGraph) -> list[int]:
-    """B(v) from the walks v-u-w: a Counter over the neighbor tuples of v's
-    neighbors gives c for every w two hops away, and v itself, reached once
-    per neighbor, adds C(deg v, 2) that is taken off again.  A node with
-    fewer than two neighbors is on no butterfly and is skipped."""
-    nbrs = [tuple(u for u, _ in row) for row in g.adjacency]
-    counts = [0] * len(nbrs)
-    for v, row in enumerate(nbrs):
-        if len(row) > 1:
-            reach = Counter(chain.from_iterable(map(nbrs.__getitem__, row)))
-            counts[v] = sum(map(comb, reach.values(), repeat(2))) - comb(len(row), 2)
-    return counts
+def _priority_counts(g: PortGraph) -> list[int]:
+    """B(v) by vertex priority (Wang et al., PVLDB 2019): nodes rank by
+    (degree, index), and each butterfly is found once, from its
+    highest-ranked corner u.  The mids are u's lower-ranked neighbors v;
+    the ends are the neighbors w of a mid ranked below u, a prefix of v's
+    rank-sorted neighbor list.  An end reached from c mids closes C(c, 2)
+    butterflies, added to u and to w, and each mid is on c - 1 of them per
+    end it reaches.  A node with fewer than two lower-ranked neighbors
+    tops no butterfly and is skipped."""
+    degree = g.degrees
+    order = sorted(range(len(degree)), key=degree.__getitem__)
+    rank = [0] * len(order)
+    for r, v in enumerate(order):
+        rank[v] = r
+    # from here on a node is named by its rank: nbrs[u] holds the ranks of
+    # the neighbors of the node ranked u, ascending
+    nbrs = [sorted([rank[w] for w, _ in g.adjacency[v]]) for v in order]
+    by_rank = [0] * len(order)
+    for u, row in enumerate(nbrs):
+        cut = bisect_left(row, u)
+        if cut < 2:
+            continue
+        mids = row[:cut]
+        ends = [nbrs[v][: bisect_left(nbrs[v], u)] for v in mids]
+        flat = list(chain.from_iterable(ends))
+        if len(set(flat)) == len(flat):  # no end reached twice: no butterfly
+            continue
+        tally = Counter(flat)
+        through_u = 0
+        for w, c in tally.items():
+            if c > 1:
+                pair = c * (c - 1) // 2
+                through_u += pair
+                by_rank[w] += pair
+        by_rank[u] += through_u
+        for v, row_v in zip(mids, ends):
+            by_rank[v] += sum(map(tally.__getitem__, row_v)) - len(row_v)
+    return [by_rank[r] for r in rank]
 
 
 def enumerate_butterflies(g: PortGraph) -> int:
@@ -243,12 +272,14 @@ def check_spanning_tree(
     depth: dict[int, int] = {root: 0}
     for v in range(n):
         path = []
+        on_path = set()
         x = v
         while x not in depth:
-            if x in path:
+            if x in on_path:
                 problems.append(f"parent pointers cycle through node {x}")
                 return TreeCheck(False, tuple(problems), None, None, None)
             path.append(x)
+            on_path.add(x)
             if x not in parent_of:
                 problems.append(f"node {x} has no parent and is not the root")
                 return TreeCheck(False, tuple(problems), None, None, None)
@@ -257,29 +288,17 @@ def check_spanning_tree(
         for i, y in enumerate(reversed(path)):
             depth[y] = base + i + 1
 
-    # diameter of a tree: farthest node from root, then farthest from that
-    children: dict[int, list[int]] = {v: [] for v in range(n)}
-    for v, u in parent_of.items():
-        children[u].append(v)
-
-    def farthest(start: int) -> tuple[int, int]:
-        dist = {start: 0}
-        queue = [start]
-        far, fard = start, 0
-        while queue:
-            nxt = []
-            for v in queue:
-                for u in children[v] + ([parent_of[v]] if v in parent_of else []):
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        if dist[u] > fard:
-                            far, fard = u, dist[u]
-                        nxt.append(u)
-            queue = nxt
-        return far, fard
-
-    end, _ = farthest(root)
-    _, diameter = farthest(end)
+    # depth holds every parent before its children, so in reverse each
+    # node's longest downward path is final before its parent reads it;
+    # the diameter is the best sum of a node's two deepest branches
+    down = dict.fromkeys(depth, 0)
+    diameter = 0
+    for v in reversed(depth):
+        if v in parent_of:
+            u = parent_of[v]
+            reach = down[v] + 1
+            diameter = max(diameter, down[u] + reach)
+            down[u] = max(down[u], reach)
     height = max(depth.values())
     return TreeCheck(True, (), depth, height, diameter)
 

@@ -46,12 +46,23 @@ from butterfly_agents.runtime import (
     StepView,
     id_bits,
     place_dispersed,
+    port_bits,
 )
 
 
 def count_on(g, ids, **kw):
     cfg = place_dispersed(g, ids)
     return cfg, count_butterflies(g, cfg, **kw)
+
+
+def election_peak_bound(width, delta):
+    """A3's peak with the port and degree fields added, so that it holds at
+    L = 1 too.  The fixed fields cost 2·L + 4·port_bits(Δ) + 4
+    (``runtime._resolve_widths``); the election's scratch, every key live at
+    once, adds four L-bit fields, one port, five degree-wide fields of at
+    most port_bits(Δ) - 1 bits (one bit when Δ = 0) and three flags.  The
+    downcast's payload, 4·L plus two degree widths, stays below that."""
+    return 6 * width + 10 * port_bits(delta) + 3
 
 
 def oracle_by_agent(g, ids):
@@ -314,15 +325,20 @@ def relabeled_instances(draw):
     return base, node, g, ids, lam
 
 
+K11 = make_complete_bipartite(1, 1)[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(relabeled_instances())
+@example((K11, [0, 1], K11, [0, 1], 1))  # L = 1: peaks at 28 bits, above 24·L
 def test_counts_survive_port_edge_and_id_relabeling(case):
     """Renumbering nodes, relabeling ports, reordering edges, permuting ids
     and raising λ changes no count: the total and every node's count are
     the unrelabeled graph's oracle answers, and the minimum id leads.  The
     election keeps A3's bounds (rounds <= 16·n·L; peak <= 24·L bits once
     L >= 2, since at L = 1 the port, degree and flag fields alone exceed
-    24 bits) and A4's (tree diameter <= 2·min(|A|, |B|))."""
+    24 bits, and ``election_peak_bound`` at every L) and A4's (tree
+    diameter <= 2·min(|A|, |B|))."""
     base, node, g, ids, lam = case
     res = count_butterflies(g, place_dispersed(g, ids, lam=lam))
     assert res.total == oracle_total_butterflies(base)
@@ -333,8 +349,10 @@ def test_counts_survive_port_edge_and_id_relabeling(case):
     n, width = g.node_count, id_bits(lam)
     report = res.election.report
     assert report.rounds_total <= 16 * n * width
+    peak = max(report.peak_memory_bits.values())
+    assert peak <= election_peak_bound(width, g.max_degree)
     if width >= 2:
-        assert max(report.peak_memory_bits.values()) <= 24 * width
+        assert peak <= 24 * width
     tree = res.election.tree
     check = check_spanning_tree(g, tree.node_parent_ports(), tree.home_node[tree.root_id])
     side_a = oracle_coloring(g).count(0)
@@ -358,3 +376,5 @@ def test_degenerate_shapes_count_and_check(make):
     assert res.total == 0
     assert res.per_node == {aid: 0 for aid in ids}
     assert check_butterflies(g, res, 3) == []
+    peak = max(res.election.report.peak_memory_bits.values())
+    assert peak <= election_peak_bound(id_bits(max(ids)), g.max_degree)

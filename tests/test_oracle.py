@@ -5,12 +5,14 @@ complete bipartite graphs (each side-A vertex closes C(b,2)*(a-1)
 4-cycles in K_{a,b}) and cross-checked by explicit enumeration.
 
 The two-hop per-node oracle, and each of its two formulations, is also
-held against two references kept here: the pair formula over every
-same-side pair, and a per-node four-corner enumeration.
+held against three references kept here: the pair formula over every
+same-side pair, a tally of every two-hop walk, and a per-node
+four-corner enumeration.
 """
 
 import math
 from collections import Counter
+from itertools import chain
 
 import pytest
 from hypothesis import example, given, settings
@@ -50,6 +52,18 @@ def pair_formula_per_node(g):
                 pair = math.comb(len(nbrs[v] & nbrs[w]), 2)
                 counts[v] += pair
                 counts[w] += pair
+    return counts
+
+
+def walk_per_node(g):
+    """B(v) from the walks v-u-w: a Counter over the neighbors of v's
+    neighbors gives c for every w two hops away, and v itself, reached once
+    per neighbor, adds C(deg v, 2) that is taken off again."""
+    nbrs = [g.neighbors(v) for v in range(g.node_count)]
+    counts = [0] * g.node_count
+    for v, row in enumerate(nbrs):
+        reach = Counter(chain.from_iterable(nbrs[u] for u in row))
+        counts[v] = sum(math.comb(c, 2) for c in reach.values()) - math.comb(len(row), 2)
     return counts
 
 
@@ -127,26 +141,41 @@ def test_counting_matches_enumeration_on_random_graphs():
 
 
 def assert_per_node_matches_references(g):
-    """The oracle and both of its formulations, mask popcounts and walk
-    tallies, match the two references."""
+    """The oracle and both of its formulations, mask popcounts and vertex
+    priority, match the walk tally, the pair formula and enumeration."""
     per = oracle_per_node_butterflies(g)
-    assert oracle._pair_counts(g, oracle_coloring(g)) == oracle._walk_counts(g) == per
+    pairs = oracle._pair_counts(g, oracle_coloring(g))
+    assert pairs == oracle._priority_counts(g) == walk_per_node(g) == per
     assert per == pair_formula_per_node(g)
     assert per == enumerate_per_node(g)
 
 
+def random_graph(a, b, prob, seed):
+    return make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)[0]
+
+
+def even_cycle(n):
+    return build_port_graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    a=st.integers(min_value=1, max_value=32),
-    b=st.integers(min_value=1, max_value=32),
-    prob=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**16),
+    g=st.builds(
+        random_graph,
+        a=st.integers(min_value=1, max_value=32),
+        b=st.integers(min_value=1, max_value=32),
+        prob=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
 )
-@example(a=1, b=1, prob=1.0, seed=0)
-@example(a=1, b=12, prob=0.0, seed=0)
-@example(a=12, b=1, prob=0.5, seed=0)
-def test_per_node_matches_both_references_on_random_graphs(a, b, prob, seed):
-    g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
+@example(g=random_graph(1, 1, 1.0, 0))
+@example(g=random_graph(1, 12, 0.0, 0))
+@example(g=random_graph(12, 1, 0.5, 0))
+# every degree ties, so vertex priority ranks by node index alone
+@example(g=make_complete_bipartite(5, 5)[0])
+@example(g=even_cycle(12))
+@example(g=make_path(9)[0])
+def test_per_node_matches_both_references_on_random_graphs(g):
     assert_per_node_matches_references(g)
 
 
@@ -174,7 +203,8 @@ def test_per_node_matches_pair_formula_at_benchmark_scale():
     # the sparse benchmark shape; enumeration is out of reach at this size
     g, _ = make_random_connected_bipartite(1024, 1024, edge_prob=0.005, seed=2024)
     per = oracle_per_node_butterflies(g)
-    assert oracle._pair_counts(g, oracle_coloring(g)) == oracle._walk_counts(g) == per
+    pairs = oracle._pair_counts(g, oracle_coloring(g))
+    assert pairs == oracle._priority_counts(g) == walk_per_node(g) == per
     assert per == pair_formula_per_node(g)
 
 
@@ -182,16 +212,16 @@ def test_per_node_matches_pair_formula_at_benchmark_scale():
     "make, path",
     [
         (lambda: make_complete_bipartite(48, 48), "_pair_counts"),
-        (lambda: make_random_connected_bipartite(512, 512, edge_prob=0.01, seed=7), "_walk_counts"),
+        (lambda: make_random_connected_bipartite(512, 512, edge_prob=0.01, seed=7), "_priority_counts"),
     ],
     ids=["K48,48", "512+512"],
 )
 def test_two_hop_count_picks_the_cheaper_formulation(monkeypatch, make, path):
-    # K48,48 has 2,256 same-side pairs against 221,184 walk steps; the
-    # sparse graph about 262k pairs against about 32k steps
+    # K48,48 has 2,256 same-side pairs against 221,184 two-hop walks; the
+    # sparse graph about 262k pairs against about 32k walks
     g, _ = make()
     picked = []
-    for name in ("_pair_counts", "_walk_counts"):
+    for name in ("_pair_counts", "_priority_counts"):
         def recorded(*args, _name=name, _fn=getattr(oracle, name)):
             picked.append(_name)
             return _fn(*args)
@@ -293,6 +323,19 @@ def test_spanning_tree_checker_accepts_a_line():
     assert check.ok, check.problems
     assert check.diameter == 3
     assert check.height == 3
+
+
+def test_spanning_tree_checker_accepts_a_deep_path():
+    # rooted at its far end, node 0's parent chain runs the whole way: the
+    # cycle check must not rescan it per step, which made this quadratic
+    n = 8000
+    g, _ = make_path(n)
+    ports = {v: g.neighbors(v).index(v + 1) for v in range(n - 1)}
+    ports[n - 1] = None
+    check = check_spanning_tree(g, ports, root=n - 1)
+    assert check.ok, check.problems
+    assert check.height == check.diameter == n - 1
+    assert check.depth[0] == n - 1
 
 
 def test_spanning_tree_checker_diameter_of_star():
