@@ -29,7 +29,6 @@ from .graphs import (
     make_random_connected_bipartite,
 )
 from .oracle import OracleMismatch, check_butterflies, check_tree
-from .oracle import diff_per_node  # noqa: F401 (cli.diff_per_node stays importable)
 from .protocols.butterfly import PHASES, NotBipartiteSwarm, count_butterflies
 from .protocols.election import elect_leader_and_tree
 from .protocols.known_leader import known_leader_tree

@@ -269,6 +269,7 @@ def check_spanning_tree(
     if problems:
         return TreeCheck(False, tuple(problems), None, None, None)
 
+    # past the checks above, every node but the root is a key of parent_of
     depth: dict[int, int] = {root: 0}
     for v in range(n):
         path = []
@@ -280,9 +281,6 @@ def check_spanning_tree(
                 return TreeCheck(False, tuple(problems), None, None, None)
             path.append(x)
             on_path.add(x)
-            if x not in parent_of:
-                problems.append(f"node {x} has no parent and is not the root")
-                return TreeCheck(False, tuple(problems), None, None, None)
             x = parent_of[x]
         base = depth[x]
         for i, y in enumerate(reversed(path)):

