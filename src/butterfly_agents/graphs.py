@@ -157,6 +157,29 @@ def make_complete_bipartite(a: int, b: int) -> tuple[PortGraph, Bipartition]:
     return PortGraph(adjacency=tuple(adjacency)), Bipartition(side=side)
 
 
+def _shuffle(rng: random.Random, seq) -> None:
+    """Shuffle ``seq`` in place with exactly ``rng.shuffle(seq)``'s draws.
+
+    This is the stdlib's backward Fisher–Yates (Durstenfeld, CACM 7(7),
+    1964) with its rejection rule: ``j = getrandbits(k)`` until ``j <= i``,
+    where ``k = (i + 1).bit_length()``.  The permutation and the state of
+    ``rng`` afterwards are the stdlib's; its per-element ``_randbelow``
+    call is gone: ``getrandbits`` is bound once and ``k`` is computed once
+    per run of indices that share it.
+    """
+    getrandbits = rng.getrandbits
+    top = len(seq) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1  # the least i whose i + 1 needs k bits
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            seq[i], seq[j] = seq[j], seq[i]
+        top = bottom - 1
+
+
 def make_random_connected_bipartite(
     a: int, b: int, edge_prob: float, seed: int
 ) -> tuple[PortGraph, Bipartition]:
@@ -169,7 +192,10 @@ def make_random_connected_bipartite(
     components.  Finally every node's port order is an independent seeded
     permutation of its incident edges.
 
-    Time is Θ(a·b): one draw per cross pair and a shuffle of all of them.
+    The draws are one ``rng.random()`` per cross pair in row-major order,
+    then exactly the stdlib shuffle's draws (through ``_shuffle``) for the
+    ranking and for each node's ports.  Time is Θ(a·b): one draw per cross
+    pair and a shuffle of all of them, and the shuffle is most of it.
     The ranking holds each pair as a 4-byte code, so it takes 4·a·b bytes,
     and a·b may be at most 2**32; a larger shape raises ValueError before
     any draw.
@@ -187,11 +213,12 @@ def make_random_connected_bipartite(
     n = a + b
     present: set[tuple[int, int]] = set()
     edges: list[tuple[int, int]] = []
+    draw = rng.random
     for i in range(a):
-        for j in range(b):
-            if rng.random() < edge_prob:
-                present.add((i, j))
-                edges.append((i, a + j))
+        row = [j for j in range(b) if draw() < edge_prob]
+        for j in row:
+            present.add((i, j))
+            edges.append((i, a + j))
 
     # union-find over all n nodes
     root = list(range(n))
@@ -210,7 +237,7 @@ def make_random_connected_bipartite(
     # tuple.  The shuffle's draws depend only on the length, so the
     # permutation is the same at any width.
     ranking = array("I", range(a * b))
-    rng.shuffle(ranking)
+    _shuffle(rng, ranking)
     components = len({find(x) for x in range(n)})
     for code in ranking:
         if components == 1:
@@ -234,7 +261,7 @@ def make_random_connected_bipartite(
     port_order = {}
     for v in range(n):
         order = list(range(degree[v]))
-        rng.shuffle(order)
+        _shuffle(rng, order)
         port_order[v] = order
     g = build_port_graph(n, edges, port_order)
     side = (SIDE_A,) * a + (SIDE_B,) * b

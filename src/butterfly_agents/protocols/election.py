@@ -149,6 +149,11 @@ class ElectionProgram(AgentProgram):
         if ps["reported"]:
             state.wake_round = NEVER
             return
+        if "trip_port" not in ps and state.nextport == -1 and ps["kids_done"] < ps["kids"]:
+            # Idle until a child reports: only a child's visit can change
+            # this agent, and that visit steps it anyway.
+            state.wake_round = NEVER
+            return
         window_end = view.round - view.round % self._wlen + self._wlen
         if "trip_port" in ps and not ps["trip_done"]:
             departs = next_departure(self._departs[state.id], self._wlen, view.round + 1)

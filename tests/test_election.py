@@ -104,6 +104,27 @@ def test_worst_case_path_elections_stay_within_a3(n):
     assert res.report.rounds_total == WORST_CASE_PATH_ROUNDS[n]
 
 
+def test_idle_agents_sleep_on_the_worst_case_path(monkeypatch):
+    # An agent with no errand, no port left and children still out is not
+    # stepped until a child visits.  Waking it at every window end instead
+    # takes 8,608 election steps here, for the same 4,001 rounds.
+    n = 64
+    g, _ = make_path(n)
+    ids = list(range(2 * n - 1, 0, -2))
+    steps = 0
+    step = election.ElectionProgram.step
+
+    def counted(self, state, view):
+        nonlocal steps
+        steps += 1
+        return step(self, state, view)
+
+    monkeypatch.setattr(election.ElectionProgram, "step", counted)
+    _, res = elect(g, ids, lam=2 * n)
+    assert res.report.rounds_per_phase["election"] == 4001
+    assert steps == 4706
+
+
 def test_cliques_elect_the_minimum():
     for k in (3, 5, 8):
         g = make_clique(k)

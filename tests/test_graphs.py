@@ -126,15 +126,21 @@ def test_load_rejects_edge_out_of_range(tmp_path):
         load_graph(str(path))
 
 
-# (a, b, edge_prob, seed) -> sha256 of repr(adjacency), computed at commit
-# 72851b7, when the augmentation ranking was still a list of (i, j) tuples.
-# The first two calls need augmentation; the third has edge_prob = 1.
+# (a, b, edge_prob, seed) -> sha256 of repr(adjacency).  The first five were
+# computed at commit 72851b7, when the augmentation ranking was still a list
+# of (i, j) tuples and every shuffle was rng.shuffle; the first two need
+# augmentation and the third has edge_prob = 1.  The last two are the dense
+# benchmark's p = 0.5 shapes, computed while the generator still called
+# rng.shuffle: both are connected after the draws, so their ranking is
+# shuffled but never read.
 PINNED_ADJACENCY = {
     (1024, 1024, 0.005, 11): "5b928a63efe0a422dd7a387249391021dd2dd049752e80b7bc3ae4acdd0cb191",
     (40, 60, 0.02, 7): "723b586cd8862964ddce4f7f294927171248ca92efcf4aa693e814d06a620f73",
     (9, 13, 1.0, 2): "4c86489791b9329ce9012536eb9babc0e76d8e8be4bc0466f0ce3d4d49fc7952",
     (1, 17, 0.3, 5): "6a9d5c01edab8ad5ccbcab477c589f87916760051b071265af3ac7667446f471",
     (64, 48, 0.1, 1234): "689be6b486e73eff624cb5d3195c488bd45cd635aa7dd0baecd05a53563e7f21",
+    (96, 96, 0.5, 1): "917b1a5f727375b3f4a54a4f27cf9961661188fee9dacca2b33be371cd4a6019",
+    (80, 112, 0.5, 2): "d82421211042c73561967d2098870443f8ec0238cc34cfc44fb0c6744fe22686",
 }
 
 
@@ -144,6 +150,26 @@ def test_random_bipartite_adjacency_is_pinned(call):
     g, _ = make_random_connected_bipartite(a, b, edge_prob=prob, seed=seed)
     digest = hashlib.sha256(repr(g.adjacency).encode("utf-8")).hexdigest()
     assert digest == PINNED_ADJACENCY[call]
+
+
+# Each side of a bit-width boundary of the rejection draws, past the small
+# sizes that cover every width up to 7 bits.
+SHUFFLE_SIZES = [*range(70), 127, 128, 129, 255, 256, 257, 4095, 4096, 4097]
+
+
+@pytest.mark.parametrize("kind", ["list", "array"])
+def test_shuffle_is_the_stdlib_shuffle(kind):
+    # The pins above rest on _shuffle drawing exactly as random.shuffle
+    # does; a Python whose random draws differently fails here by name.
+    make = list if kind == "list" else (lambda r: array.array("I", r))
+    for size in SHUFFLE_SIZES:
+        for seed in range(5):
+            ours, stdlib = make(range(size)), make(range(size))
+            ours_rng, stdlib_rng = random.Random(seed), random.Random(seed)
+            graphs._shuffle(ours_rng, ours)
+            stdlib_rng.shuffle(stdlib)
+            assert ours == stdlib, (size, seed)
+            assert ours_rng.getstate() == stdlib_rng.getstate(), (size, seed)
 
 
 @settings(max_examples=40, deadline=None)
