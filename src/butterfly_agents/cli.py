@@ -2,9 +2,9 @@
 
 Exit codes: 0 success; 1 verification mismatch, broken phase invariant,
 illegal port move or failed oracle self-check; 2 bad configuration,
-unreadable input, or a graph the agents find is not bipartite; 3 round
-budget exhausted.  Set BUTTERFLY_AGENTS_LOG to a level name (DEBUG,
-INFO, ...) to get progress logging on stderr.
+unreadable input, unwritable output, or a graph the agents find is not
+bipartite; 3 round budget exhausted.  Set BUTTERFLY_AGENTS_LOG to a
+level name (DEBUG, INFO, ...) to get progress logging on stderr.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ PROTOCOLS = ("meeting-demo", "known-leader", "election", "butterfly-full")
 
 
 class CliError(Exception):
-    """Bad flags, bad generator parameters, unreadable files."""
+    """Bad flags, bad generator parameters, unreadable or unwritable files."""
 
 
 # ---------------------------------------------------------------------------
@@ -178,20 +178,23 @@ def cmd_run(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown protocol {args.protocol}")
 
-    if args.trace:
-        write_trace_jsonl(args.trace, trace or [])
-        log.info("trace written to %s", args.trace)
-    if args.report:
-        payload = json.loads(report.to_json())
-        if args.protocol == "butterfly-full":
-            # counting runs also carry their results at the top level
-            payload["total"] = res.total
-            payload["per_node"] = {str(a): c for a, c in sorted(res.per_node.items())}
-            payload["rounds"] = dict(report.rounds_per_phase)
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-            fh.write("\n")
-        log.info("report written to %s", args.report)
+    try:
+        if args.trace:
+            write_trace_jsonl(args.trace, trace or [])
+            log.info("trace written to %s", args.trace)
+        if args.report:
+            payload = json.loads(report.to_json())
+            if args.protocol == "butterfly-full":
+                # counting runs also carry their results at the top level
+                payload["total"] = res.total
+                payload["per_node"] = {str(a): c for a, c in sorted(res.per_node.items())}
+                payload["rounds"] = dict(report.rounds_per_phase)
+            with open(args.report, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+                fh.write("\n")
+            log.info("report written to %s", args.report)
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
     print(f"protocol:    {args.protocol}")
     print(f"rounds:      {report.rounds_total}  {report.rounds_per_phase}")
@@ -229,7 +232,10 @@ def cmd_sweep(args) -> int:
     if not 0.0 <= args.edge_prob <= 1.0:
         raise CliError(f"--edge-prob {args.edge_prob} is outside [0, 1]")
 
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="", encoding="utf-8")
+    try:
+        out = sys.stdout if args.out == "-" else open(args.out, "w", newline="", encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     try:
         writer = csv.writer(out)
         writer.writerow(
@@ -317,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.max_rounds is not None and args.max_rounds < 1:
+            raise CliError(f"--max-rounds must be at least 1, got {args.max_rounds}")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

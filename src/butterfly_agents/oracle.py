@@ -204,12 +204,12 @@ def oracle_total_butterflies(g: PortGraph) -> int:
     four-node enumeration gives the same total.
     """
     color = oracle_coloring(g)
-    return _checked_total(g, color, oracle_per_node_butterflies(g), enumerate_butterflies)
+    return _checked_total(g, color, _two_hop_counts(g, color))
 
 
-def _checked_total(g: PortGraph, color: list[int], per_node: list[int], enumerate_total) -> int:
-    """Half one side's sum of ``per_node`` after the self-checks; on graphs of
-    at most 64 nodes ``enumerate_total(g)`` gives the enumerated total."""
+def _checked_total(g: PortGraph, color: list[int], per_node: list[int]) -> int:
+    """Half one side's sum of ``per_node`` after the self-checks, the graph
+    colored ``color``; on graphs of at most 64 nodes it enumerates too."""
     sum_a = sum(b for v, b in enumerate(per_node) if color[v] == 0)
     sum_b = sum(b for v, b in enumerate(per_node) if color[v] == 1)
     if sum_a != sum_b:
@@ -218,7 +218,7 @@ def _checked_total(g: PortGraph, color: list[int], per_node: list[int], enumerat
         raise OracleMismatch(f"side sum {sum_a} is odd")
     total = sum_a // 2
     if g.node_count <= 64:
-        enumerated = enumerate_total(g)
+        enumerated = _enumerate(g, color)
         if enumerated != total:
             raise OracleMismatch(
                 f"two-hop count gives {total}, enumeration gives {enumerated}"
@@ -370,7 +370,7 @@ def check_butterflies(g: PortGraph, result, leader: int) -> list[str]:
     problems = []
     color = oracle_coloring(g)
     per_node = _two_hop_counts(g, color)
-    want_total = _checked_total(g, color, per_node, lambda g: _enumerate(g, color))
+    want_total = _checked_total(g, color, per_node)
     if result.total != want_total:
         problems.append(f"total {result.total}, oracle says {want_total}")
     home = result.election.tree.home_node

@@ -129,10 +129,9 @@ class ConvergecastProgram(AgentProgram):
                     ps["reported"] = True
                     break
             return view.entered_port
-        # Home: fold in any children delivering right now.
+        # Home: fold in any children delivering right now; no one else here
+        # is at home, as each node is one agent's home.
         for visitor in view.colocated:
-            if visitor.at_home:
-                continue
             ps["acc"] = self.combine(ps["acc"], visitor.scratch["acc"])
             ps["kids_left"] -= 1
         parent = self.tree.parent_port[state.id]
@@ -143,8 +142,6 @@ class ConvergecastProgram(AgentProgram):
 
     def local_done(self, state: AgentState) -> bool:
         ps = state.phase_state
-        if not ps:
-            return False
         if self.tree.parent_port[state.id] is None:
             return ps["kids_left"] == 0
         return bool(ps["reported"]) and state.current_node == state.home_node
@@ -165,11 +162,9 @@ def convergecast(
     program = ConvergecastProgram(tree, kids, values, combine, value_width)
     result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
     root_state = next(s for s in config.states if s.id == tree.root_id)
-    root_value = root_state.phase_state.pop("acc")
+    root_value = root_state.phase_state["acc"]
     for s in config.states:
-        s.phase_state.pop("acc", None)
-        s.phase_state.pop("kids_left", None)
-        s.phase_state.pop("reported", None)
+        s.phase_state = {}
     return root_value, result
 
 

@@ -118,6 +118,28 @@ def test_bad_generator_is_a_config_error(capsys):
     assert cli.main(["run", "--gen", "path", "3", "--ids", "list:1,2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--gen", "complete", "3", "3", "--ids", "seq", "--trace"],
+    ["run", "--gen", "complete", "3", "3", "--ids", "seq", "--report"],
+    ["sweep", "--sizes", "2x2", "--out"],
+])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "out")
+    assert cli.main(argv + [path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_round_budget_below_one_is_a_config_error(capsys):
+    for budget in ("0", "-1"):
+        for argv in (["run", "--gen", "complete", "3", "3", "--ids", "seq"], ["sweep"]):
+            assert cli.main(argv + ["--max-rounds", budget]) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: --max-rounds must be at least 1, got {budget}\n"
+
+
 def test_odd_cycle_is_a_config_error(capsys, monkeypatch):
     rc = cli.main(["run", "--gen", "clique", "4", "--ids", "seq"])
     assert rc == 2

@@ -248,17 +248,17 @@ def test_empty_graph_is_a_typed_error():
 
 def test_enumeration_mismatch_is_a_typed_error(monkeypatch):
     g, _ = make_complete_bipartite(3, 3)
-    monkeypatch.setattr(oracle, "enumerate_butterflies", lambda g: 8)
+    monkeypatch.setattr(oracle, "_enumerate", lambda g, color: 8)
     with pytest.raises(OracleMismatch, match="two-hop count gives 9, enumeration gives 8"):
         oracle_total_butterflies(g)
 
 
 def test_side_sum_mismatches_are_typed_errors(monkeypatch):
     g, _ = make_complete_bipartite(2, 2)  # per-node counts [1, 1, 1, 1]
-    monkeypatch.setattr(oracle, "oracle_per_node_butterflies", lambda g: [1, 1, 1, 3])
+    monkeypatch.setattr(oracle, "_two_hop_counts", lambda g, color: [1, 1, 1, 3])
     with pytest.raises(OracleMismatch, match="side sums disagree: 2 vs 4"):
         oracle_total_butterflies(g)
-    monkeypatch.setattr(oracle, "oracle_per_node_butterflies", lambda g: [1, 0, 1, 0])
+    monkeypatch.setattr(oracle, "_two_hop_counts", lambda g, color: [1, 0, 1, 0])
     with pytest.raises(OracleMismatch, match="side sum 1 is odd"):
         oracle_total_butterflies(g)
 
@@ -296,18 +296,30 @@ def test_check_butterflies_colors_and_counts_once(monkeypatch, a, b, enumeration
     assert calls == Counter(oracle_coloring=1, _two_hop_counts=1, _enumerate=enumerations)
 
 
+@pytest.mark.parametrize("a, b, enumerations", [(3, 4, 1), (40, 40, 0)])
+def test_oracle_total_colors_once(monkeypatch, a, b, enumerations):
+    g, _ = make_random_connected_bipartite(a, b, edge_prob=0.3, seed=9)
+    calls = count_work(monkeypatch)
+    for _ in range(2):
+        oracle.oracle_total_butterflies(g)
+    assert calls == Counter(
+        oracle_total_butterflies=2,
+        oracle_coloring=2,
+        _two_hop_counts=2,
+        _enumerate=2 * enumerations,
+    )
+
+
 def test_public_oracles_keep_their_work(monkeypatch):
-    # each public function still colors on its own, so a caller timing one
-    # of them (as the benchmark does) times the same work as before
+    # each public function colors on its own, and the total colors once
+    # and hands that coloring to the counts and the enumeration it checks
     g, _ = make_complete_bipartite(3, 4)
     calls = count_work(monkeypatch)
     oracle.oracle_total_butterflies(g)
     assert calls == Counter(
         oracle_total_butterflies=1,
-        oracle_coloring=3,
-        oracle_per_node_butterflies=1,
+        oracle_coloring=1,
         _two_hop_counts=1,
-        enumerate_butterflies=1,
         _enumerate=1,
     )
     calls.clear()

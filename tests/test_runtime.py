@@ -521,6 +521,20 @@ def test_lone_agent_on_default_wakes_ends_in_the_exact_round():
     assert result.rounds == 10
 
 
+def test_wake_booked_before_round_zero_waits_for_a_crowd():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [0, 1])
+    # on_start books agent 1 for round -3, a round that never comes: it is
+    # stepped only when agent 0 crowds it in round 3
+    prog = Scripted(
+        {0: 2, 1: -3},
+        {(2, 0): (0, 3), (3, 0): (0, NEVER), (3, 1): (None, NEVER)},
+    )
+    result = run(g, cfg, prog)
+    assert prog.steps == [(2, 0, []), (3, 0, [1]), (3, 1, [0])]
+    assert result.rounds == 4
+
+
 def test_round_limit_raises():
     g, _ = make_path(2)
     cfg = place_dispersed(g, [0, 1])
@@ -548,13 +562,15 @@ def test_round_limits_name_the_phase_and_round():
 
     g, _ = make_path(2)
     sleeps_past_budget = Scripted({0: 10, 1: 10}, {})
-    for program, max_rounds, rnd, text in (
-        (NeverDone(), 10, 10, "never-done: no termination within 10 rounds"),
-        (Sleeper(), 100, 0, "never-done: all agents asleep with 2 not done"),
-        (sleeps_past_budget, 5, 0, "scripted: no termination within 5 rounds"),
+    for program, max_rounds, rnd, text, traced in (
+        (NeverDone(), 10, 10, "never-done: no termination within 10 rounds", False),
+        (Sleeper(), 100, 0, "never-done: all agents asleep with 2 not done", False),
+        (sleeps_past_budget, 5, 0, "scripted: no termination within 5 rounds", False),
+        (sleeps_past_budget, 5, 0, "scripted: no termination within 5 rounds", True),
     ):
         with pytest.raises(RoundLimitExceeded) as info:
-            run(g, place_dispersed(g, [0, 1]), program, max_rounds=max_rounds)
+            run(g, place_dispersed(g, [0, 1]), program, max_rounds=max_rounds,
+                record_trace=traced)
         err = info.value
         assert (err.phase, err.round, err.agent, str(err)) == (program.name, rnd, None, text)
 
@@ -699,6 +715,32 @@ def test_lazy_and_always_step_agree(case):
     lazy, always = one_run(False), one_run(True)
     assert lazy == always
     assert lazy[0] > 0
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        meeting_window_case,
+        election_case,
+        converge_case,
+        neighbor_scan_case,
+        wedge_count_case,
+        broadcast_case,
+        convergecast_case,
+    ],
+    ids=lambda case: case.__name__.removesuffix("_case"),
+)
+def test_untraced_lazy_runs_agree_with_always_step(case):
+    """An untraced lazy run fast-forwards its idle rounds; it must end as
+    the always-step run does, with the same reads along the way."""
+    def one_run(always_step):
+        g, cfg, program = case()
+        comms = record_reads(program)
+        res = run(g, cfg, program, always_step=always_step)
+        finals = [(s.id, s.current_node) for s in cfg.states]
+        return res.rounds, dict(res.peak_bits), finals, comms
+
+    assert one_run(False) == one_run(True)
 
 
 @st.composite
