@@ -16,6 +16,7 @@ import logging
 import os
 import random
 import sys
+from contextlib import contextmanager
 
 from .graphs import (
     MAX_CROSS_PAIRS,
@@ -51,6 +52,15 @@ PROTOCOLS = ("meeting-demo", "known-leader", "election", "butterfly-full")
 
 class CliError(Exception):
     """Bad flags, bad generator parameters, unreadable or unwritable files."""
+
+
+@contextmanager
+def writing(path: str):
+    """Report an ``OSError`` raised while writing ``path`` as a ``CliError``."""
+    try:
+        yield
+    except OSError as exc:  # one raised by a write or close names no file
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +188,21 @@ def cmd_run(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown protocol {args.protocol}")
 
-    try:
-        if args.trace:
+    if args.trace:
+        with writing(args.trace):
             write_trace_jsonl(args.trace, trace or [])
-            log.info("trace written to %s", args.trace)
-        if args.report:
-            payload = json.loads(report.to_json())
-            if args.protocol == "butterfly-full":
-                # counting runs also carry their results at the top level
-                payload["total"] = res.total
-                payload["per_node"] = {str(a): c for a, c in sorted(res.per_node.items())}
-                payload["rounds"] = dict(report.rounds_per_phase)
-            with open(args.report, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-                fh.write("\n")
-            log.info("report written to %s", args.report)
-    except OSError as exc:
-        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+        log.info("trace written to %s", args.trace)
+    if args.report:
+        payload = json.loads(report.to_json())
+        if args.protocol == "butterfly-full":
+            # counting runs also carry their results at the top level
+            payload["total"] = res.total
+            payload["per_node"] = {str(a): c for a, c in sorted(res.per_node.items())}
+            payload["rounds"] = dict(report.rounds_per_phase)
+        with writing(args.report), open(args.report, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        log.info("report written to %s", args.report)
 
     print(f"protocol:    {args.protocol}")
     print(f"rounds:      {report.rounds_total}  {report.rounds_per_phase}")
@@ -232,10 +240,8 @@ def cmd_sweep(args) -> int:
     if not 0.0 <= args.edge_prob <= 1.0:
         raise CliError(f"--edge-prob {args.edge_prob} is outside [0, 1]")
 
-    try:
+    with writing(args.out):
         out = sys.stdout if args.out == "-" else open(args.out, "w", newline="", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {exc.filename}: {exc.strerror}") from exc
     try:
         writer = csv.writer(out)
         writer.writerow(

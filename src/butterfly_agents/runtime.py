@@ -37,20 +37,18 @@ The engine-program contract:
   every agent is accounted after it.
 
 Per-round cost model.  Host work in a round is proportional to the agents
-stepped in it, not to the swarm, plus one row when a trace is recorded.
-Ranks (rank = position in ascending id order) wait for their wake in one
-of two places.  A step that keeps the default wake appends its rank to
-the next-round lane, already in rank order because the sweep is.  Later
-wakes go to the calendar, which maps a round to the ranks booked for it,
-so its keys are the pending rounds; an entry is live while the agent's
-``wake_round`` still names that round, so rescheduling never searches
-it.  A wake ``on_start`` sets before round 0 is not booked: that agent
-waits for a crowd.  Each round pops its own slot.  A round with no slot,
-lane or crowd is idle: an untraced run fast-forwards to the calendar's
-smallest key, and a traced one runs it, stepping nobody.  A round with no
-slot and no crowd steps the lane as it stands, with no set and no sort;
-any other round merges the lane, the live slot entries and the crowds'
-occupants into one sorted due set.  Bit widths
+stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
+a trace is recorded.  Ranks (rank = position in ascending id order) wait
+for their wake in one of two places.  A step that keeps the default wake
+appends its rank to the next-round lane, already in rank order because
+the sweep is.  Later wakes go to the calendar, which maps a round to the
+ranks booked for it, so its keys are the pending rounds; an entry is live
+while the agent's ``wake_round`` still names that round, so rescheduling
+never searches it (a wake before round 0 waits for a crowd).  A round
+with no slot, lane or crowd fast-forwards to the smallest key.  A round
+with no calendar slot and no crowd steps the lane as it stands, with no
+set and no sort; any other round merges the lane, the live calendar
+entries and the crowds' occupants into one sorted due set.  Bit widths
 (id, port, degree and every declared scratch key) are resolved into one
 int table per run, after ``on_start``, and the engine recounts inline,
 with the widths held in locals (``account_memory`` is the same formula as
@@ -74,10 +72,9 @@ and agent) is raised at its turn; agents earlier in that sweep have
 already moved.
 
 Traces.  A traced round lists every agent once, in ascending id, at its
-round-start node, whether or not it was stepped; a traced run writes its
-idle rounds with the same row, as it never fast-forwards.  So the trace
-depends on the simulation alone, not on the scheduler, and lazy and
-always-step runs write the same one.
+round-start node, whether or not it was stepped; fast-forwarded rounds
+follow the same rule.  So the trace depends on the simulation alone, not on
+the scheduler, and lazy and always-step runs write the same one.
 """
 
 from __future__ import annotations
@@ -553,11 +550,10 @@ def run(
     done = [local_done(s) for s in by_id]
     undone = sum(1 for d in done if not d)
 
-    # Wake calendar: round -> ranks booked for it; its keys are the pending
-    # rounds, none of them before the current one.  An entry is live while
-    # the agent's wake_round still names its round.  The lane holds the
-    # ranks a sweep left on the default wake, in rank order; every lane
-    # entry is live.
+    # Wake calendar: round -> ranks booked for it, so its keys are the
+    # pending rounds.  An entry is live while the agent's wake_round still
+    # names its round.  The lane holds the ranks a sweep left on the
+    # default wake, in rank order; every lane entry is live.
     lane: list[int] = []
     calendar: dict[int, list[int]] = {}
     for r, s in enumerate(by_id):
@@ -579,21 +575,24 @@ def run(
         else:
             booked = calendar.pop(rnd, None)
             if not (lane or crowded or booked):
-                # Nothing due and nobody co-located: an idle round.
+                # Nothing due and nobody co-located: fast-forward.
                 if not calendar:
                     raise RoundLimitExceeded(
                         program.name, rnd,
                         f"{program.name}: all agents asleep with {undone} not done",
                     )
-                next_wake = min(calendar)
-                if next_wake >= max_rounds:
+                skip_to = min(calendar)
+                if skip_to >= max_rounds:
                     raise RoundLimitExceeded(
                         program.name, rnd,
                         f"{program.name}: no termination within {max_rounds} rounds",
                     )
-                if trace is None:  # fast-forward; a traced run writes the idle row
-                    rnd = next_wake
-                    booked = calendar.pop(rnd)
+                if trace is not None:
+                    here = [(s.id, s.current_node) for s in by_id]
+                    for r in range(rnd, skip_to):
+                        trace.extend((r, a, v, "stay", None) for a, v in here)
+                rnd = skip_to
+                booked = calendar.pop(rnd)
             if booked is None and not crowded:
                 active = lane  # the last sweep filled it in rank order
             else:

@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, file outputs, verification plumbing."""
 
 import csv
+import errno
 import hashlib
 import json
+import os
 import re
 from dataclasses import replace
 
@@ -129,6 +131,19 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_failed_write_names_the_output(tmp_path, capsys, monkeypatch):
+    # an error raised by a write, not an open, carries no file name
+    def full(path, trace):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "write_trace_jsonl", full)
+    path = str(tmp_path / "t.jsonl")
+    assert cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--trace", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_round_budget_below_one_is_a_config_error(capsys):

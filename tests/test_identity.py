@@ -129,24 +129,3 @@ def test_tree_entry_point_digests_are_pinned(entry, name, tmp_path):
     got = digests(res, tmp_path)
     assert got == TREE_PINNED[entry, name]
     assert got[1] == got[2]
-
-
-@pytest.mark.parametrize(
-    "entry,name", sorted(TREE_PINNED) + [("pipeline", name) for name in sorted(PINNED)]
-)
-def test_untraced_reports_match_the_pins(entry, name):
-    """Without a trace the engine fast-forwards idle rounds, which traced
-    runs step through; the reports must still match the traced pins."""
-    make, report_digest, *_ = PINNED[name]
-    g, ids = make()
-    config = place_dispersed(g, ids)
-    if entry == "pipeline":
-        res = count_butterflies(g, config)
-    else:
-        report_digest = TREE_PINNED[entry, name][0]
-        if entry == "election":
-            res = elect_leader_and_tree(g, config)
-        else:
-            res = known_leader_tree(g, config, min(ids))
-    assert res.trace is None
-    assert hashlib.sha256(res.report.to_json().encode("utf-8")).hexdigest() == report_digest

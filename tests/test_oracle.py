@@ -296,35 +296,28 @@ def test_check_butterflies_colors_and_counts_once(monkeypatch, a, b, enumeration
     assert calls == Counter(oracle_coloring=1, _two_hop_counts=1, _enumerate=enumerations)
 
 
-@pytest.mark.parametrize("a, b, enumerations", [(3, 4, 1), (40, 40, 0)])
-def test_oracle_total_colors_once(monkeypatch, a, b, enumerations):
-    g, _ = make_random_connected_bipartite(a, b, edge_prob=0.3, seed=9)
-    calls = count_work(monkeypatch)
-    for _ in range(2):
-        oracle.oracle_total_butterflies(g)
-    assert calls == Counter(
-        oracle_total_butterflies=2,
-        oracle_coloring=2,
-        _two_hop_counts=2,
-        _enumerate=2 * enumerations,
-    )
-
-
 def test_public_oracles_keep_their_work(monkeypatch):
     # each public function colors on its own, and the total colors once
-    # and hands that coloring to the counts and the enumeration it checks
-    g, _ = make_complete_bipartite(3, 4)
+    # and hands that coloring to the counts and, on at most 64 nodes, to
+    # the enumeration it checks
     calls = count_work(monkeypatch)
-    oracle.oracle_total_butterflies(g)
-    assert calls == Counter(
-        oracle_total_butterflies=1,
-        oracle_coloring=1,
-        _two_hop_counts=1,
-        _enumerate=1,
-    )
-    calls.clear()
-    oracle.oracle_per_node_butterflies(g)
-    assert calls == Counter(oracle_per_node_butterflies=1, oracle_coloring=1, _two_hop_counts=1)
+    for (g, _), enumerations in (
+        (make_complete_bipartite(3, 4), 1),
+        (make_random_connected_bipartite(40, 40, edge_prob=0.3, seed=9), 0),
+    ):
+        calls.clear()
+        oracle.oracle_total_butterflies(g)
+        assert calls == Counter(
+            oracle_total_butterflies=1,
+            oracle_coloring=1,
+            _two_hop_counts=1,
+            _enumerate=enumerations,
+        )
+        calls.clear()
+        oracle.oracle_per_node_butterflies(g)
+        assert calls == Counter(
+            oracle_per_node_butterflies=1, oracle_coloring=1, _two_hop_counts=1
+        )
 
 
 def test_spanning_tree_checker_accepts_a_line():

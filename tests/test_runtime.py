@@ -717,32 +717,6 @@ def test_lazy_and_always_step_agree(case):
     assert lazy[0] > 0
 
 
-@pytest.mark.parametrize(
-    "case",
-    [
-        meeting_window_case,
-        election_case,
-        converge_case,
-        neighbor_scan_case,
-        wedge_count_case,
-        broadcast_case,
-        convergecast_case,
-    ],
-    ids=lambda case: case.__name__.removesuffix("_case"),
-)
-def test_untraced_lazy_runs_agree_with_always_step(case):
-    """An untraced lazy run fast-forwards its idle rounds; it must end as
-    the always-step run does, with the same reads along the way."""
-    def one_run(always_step):
-        g, cfg, program = case()
-        comms = record_reads(program)
-        res = run(g, cfg, program, always_step=always_step)
-        finals = [(s.id, s.current_node) for s in cfg.states]
-        return res.rounds, dict(res.peak_bits), finals, comms
-
-    assert one_run(False) == one_run(True)
-
-
 @st.composite
 def pipeline_inputs(draw):
     """A random connected bipartite graph with 1-6 nodes per side, distinct
