@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import logging
 import os
@@ -61,6 +62,21 @@ def writing(path: str):
         yield
     except OSError as exc:  # one raised by a write or close names no file
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: str) -> None:
+    """Raise ``CliError`` now for an output path that cannot be written:
+    its directory is missing or read-only, or the path is a directory."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise CliError(f"cannot write {path}: {os.strerror(code)}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +143,9 @@ def _make_ids(spec: str, n: int, rng: random.Random) -> list[int]:
 
 
 def cmd_run(args) -> int:
+    for path in (args.trace, args.report):
+        if path:
+            _check_writable(path)  # before the run, not after it
     graph, _bip = _build_graph(args)
     n = graph.node_count
     rng = random.Random(args.seed)

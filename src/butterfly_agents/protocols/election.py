@@ -57,7 +57,7 @@ from .known_leader import (
     AGGREGATE_KEYS, TreeResult, absorb_aggregate, advance_port, aggregate_widths,
     deliver_aggregates, join_tree,
 )
-from .meeting import make_meeting_id, next_departure, window_length
+from .meeting import meeting_word, next_departure, window_length
 
 
 class ElectionProgram(AgentProgram):
@@ -98,7 +98,7 @@ class ElectionProgram(AgentProgram):
             **aggregate_widths(ctx),
         }
         for state, deg in zip(states, ctx.degrees):
-            self._departs[state.id] = int(make_meeting_id(state.id, ctx.lam).bits, 2)
+            self._departs[state.id] = meeting_word(state.id, ctx.lam)
             state.phase_state = {"mydeg": deg, "retry": 0}
             join_tree(state, None, 0, None)  # the root of its own one-node tree
             state.treelabel = state.id

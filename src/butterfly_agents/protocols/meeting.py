@@ -36,6 +36,7 @@ from ..runtime import (
 __all__ = [
     "MeetingId",
     "make_meeting_id",
+    "meeting_word",
     "window_length",
     "window_schedule",
     "first_separation",
@@ -60,16 +61,28 @@ class MeetingId:
         return self.bits.count("1")
 
 
-def make_meeting_id(agent_id: int, lam: int) -> MeetingId:
-    """Build the 2L-bit schedule string for ``agent_id`` under bound ``lam``."""
+def _check_id(agent_id: int, lam: int) -> None:
     if agent_id < 0:
         raise ValueError("agent id must be nonnegative")
     if agent_id > lam:
         raise ValueError(f"agent id {agent_id} exceeds the declared bound {lam}")
+
+
+def make_meeting_id(agent_id: int, lam: int) -> MeetingId:
+    """Build the 2L-bit schedule string for ``agent_id`` under bound ``lam``."""
+    _check_id(agent_id, lam)
     width = id_bits(lam)
     low = format(agent_id, f"0{width}b")
     high = "".join("1" if c == "0" else "0" for c in low)
     return MeetingId(bits=high + low)
+
+
+def meeting_word(agent_id: int, lam: int) -> int:
+    """The schedule of ``make_meeting_id(agent_id, lam)`` as an int: bit i
+    is the string's bit at LSB index i."""
+    _check_id(agent_id, lam)
+    width = id_bits(lam)
+    return ((~agent_id & ((1 << width) - 1)) << width) | agent_id
 
 
 def window_length(lam: int) -> int:
@@ -166,7 +179,7 @@ class MeetingWindowProgram(AgentProgram):
         for s in states:
             target = self.targets.get(s.id)
             if target is not None:
-                self._words[s.id] = int(make_meeting_id(s.id, self.lam).bits, 2)
+                self._words[s.id] = meeting_word(s.id, self.lam)
                 s.phase_state["target"] = target
                 s.phase_state["finished"] = False
                 s.wake_round = self._next_move(s.id, 0)

@@ -23,6 +23,9 @@ The engine-program contract:
   program's ``published`` names a scratch key, and of its neighbor table
   if it names ``"neighbor_list"``.  A program reads no key it does not
   publish (a test checks every program).
+* A view and its snapshots are valid only during the step they are
+  handed to: the engine refreshes them in place for later steps, so a
+  program neither keeps them nor writes to them.
 * Before each step the engine sets ``state.wake_round`` to the next
   round; a program sets it only to sleep (``NEVER``) or to wake later.
   An agent is stepped in its wake round, and earlier only if others stand
@@ -54,22 +57,25 @@ int table per run, after ``on_start``, and the engine recounts inline,
 with the widths held in locals (``account_memory`` is the same formula as
 a function): a dirty step's accounting is one lookup per live scratch
 key, and a step that only rewrites values (most election steps) costs no
-accounting at all.  Each node's occupants are kept in rank order as agents
-arrive and leave, so at the start of a round each crowded node's snapshot
-tuple is built once, in ascending id order, with no sort, and every agent
-there gets that tuple with itself left out; a round with no crowd looks up
-no views.  A snapshot copies only what the program publishes, so a crowd
-costs nothing for the scratch or tables nobody reads.  Snapshots are round-start
-copies, so nothing an agent writes during its step is visible to another
-agent before the next round.  The round is then one sweep over the stepped
-agents in ascending rank: each is stepped, its move applied, its memory
-accounted if ``dirty``, its done flag updated and its wake scheduled
-before the next agent's turn.
-Because every view was fixed before the sweep began, an early mover never
-shows up in a later agent's view and moves stay simultaneous.  If an agent
-asks for a port its node lacks, ``IllegalPort`` (naming the phase, round
-and agent) is raised at its turn; agents earlier in that sweep have
-already moved.
+accounting at all.  A step allocates no view: the engine makes one
+``StepView`` per run and one ``Snapshot`` per agent at phase start and
+refreshes them in place.  Each node's occupants are kept in rank order as
+agents arrive and leave, so at the start of a round each crowd member's
+snapshot is refreshed once, in ascending id order, with no sort.  The two
+agents of a pair (most crowds) see each other through a one-snapshot tuple
+made at phase start; a larger crowd builds one tuple and hands each member
+it with itself left out.  A round with no crowd refreshes no snapshot.  A
+snapshot copies only what the program publishes, so a crowd costs nothing
+for the scratch or tables nobody reads.  Its scratch and table are
+round-start copies, so nothing an agent writes during its step is visible
+to another agent before the next round.  The round is then one sweep over
+the stepped agents in ascending rank: each is stepped, its move applied,
+its memory accounted if ``dirty``, its done flag updated and its wake
+scheduled before the next agent's turn.  Because every snapshot and crowd
+was fixed before the sweep began, an early mover never shows up in a later
+agent's view and moves stay simultaneous.  If an agent asks for a port its
+node lacks, ``IllegalPort`` (naming the phase, round and agent) is raised
+at its turn; agents earlier in that sweep have already moved.
 
 Traces.  A traced round lists every agent once, in ascending id, at its
 round-start node, whether or not it was stepped; fast-forwarded rounds
@@ -183,11 +189,14 @@ class AgentState:
         return self.current_node == self.home_node
 
 
-class Snapshot(NamedTuple):
+@dataclass(slots=True)
+class Snapshot:
     """Round-start view of an agent, as co-located agents see it: only the
     fields some program reads of another agent.  ``neighbor_list`` is
     ``()`` and ``scratch`` an empty mapping unless the program publishes
-    them (see ``AgentProgram.published``)."""
+    them (see ``AgentProgram.published``).  The engine keeps one per agent
+    and refreshes it in place at the start of each round the agent shares
+    a node."""
 
     id: int
     at_home: bool
@@ -199,13 +208,14 @@ class Snapshot(NamedTuple):
     scratch: Mapping[str, Any]
 
 
-_new_record = tuple.__new__  # builds a NamedTuple without its Python __new__
 # the scratch of every snapshot whose program publishes no scratch key
 _UNPUBLISHED: Mapping[str, Any] = MappingProxyType({})
 
 
-class StepView(NamedTuple):
-    """What one agent gets to see during its Compute stage."""
+@dataclass(slots=True)
+class StepView:
+    """What one agent gets to see during its Compute stage.  The engine
+    keeps one per run and refreshes it in place before each step."""
 
     round: int
     at_home: bool
@@ -243,6 +253,9 @@ class AgentProgram:
         to sleep or wake later.  Set ``state.dirty`` exactly when a scratch
         key came or went or a table changed length.  A value write to a
         live key needs no mark; marking anyway costs a recount per step.
+        ``view`` and its snapshots are valid only during this call: the
+        engine refreshes them in place for later steps, so neither keep
+        nor write them.
         """
         raise NotImplementedError
 
@@ -531,6 +544,11 @@ def run(
     published = program.published
     copy_table = published is None or "neighbor_list" in published
     copy_scratch = published is None or any(k != "neighbor_list" for k in published)
+    # One view per run and one snapshot per agent, refreshed in place; a
+    # pair's members see each other through a one-snapshot tuple.
+    view = StepView(0, False, None, 0, ())
+    snaps = [Snapshot(s.id, False, None, None, None, 0, (), _UNPUBLISHED) for s in by_id]
+    pairs = [(snap,) for snap in snaps]
 
     peak: dict[int, int] = {}
     for s in states:
@@ -606,48 +624,49 @@ def run(
         lane_append = lane.append
         nxt = rnd + 1
 
-        # Communicate: one round-start snapshot tuple per crowded node,
-        # holding what the program publishes; each agent there sees it with
-        # itself sliced out.
+        # Communicate: refresh each crowd member's snapshot to what the
+        # program publishes of its round-start state; each agent there sees
+        # the others' snapshots in rank order.
         colocated_of: dict[int, tuple[Snapshot, ...]] = {}
         for node in crowded:
             crowd = occupants[node]
-            snaps = []
             for r in crowd:
                 s = by_id[r]
-                snaps.append(_new_record(Snapshot, (
-                    s.id,
-                    s.home_node == node,
-                    s.entered_port,
-                    s.partition,
-                    s.child,
-                    s.treelabel,
-                    tuple(s.neighbor_list) if copy_table else (),
-                    dict(s.phase_state) if copy_scratch else _UNPUBLISHED,
-                )))
+                snap = snaps[r]
+                snap.at_home = s.home_node == node
+                snap.entered_port = s.entered_port
+                snap.partition = s.partition
+                snap.child = s.child
+                snap.treelabel = s.treelabel
+                if copy_table:
+                    snap.neighbor_list = tuple(s.neighbor_list)
+                if copy_scratch:
+                    snap.scratch = dict(s.phase_state)
             if len(crowd) == 2:  # most crowds: a visitor and its host
                 a, b = crowd
-                colocated_of[a] = (snaps[1],)
-                colocated_of[b] = (snaps[0],)
+                colocated_of[a] = pairs[b]
+                colocated_of[b] = pairs[a]
             else:
-                snaps = tuple(snaps)
+                members = tuple([snaps[r] for r in crowd])
                 for k, r in enumerate(crowd):
-                    colocated_of[r] = snaps[:k] + snaps[k + 1:]
+                    colocated_of[r] = members[:k] + members[k + 1:]
 
         # This round's trace row: one slot per rank, a mover's rewritten at its turn.
         if trace is not None:
             row = [(rnd, s.id, s.current_node, "stay", None) for s in by_id]
 
         # One sweep: compute, move and account each agent in turn.
+        view.round = rnd
         for r in active:
             state = by_id[r]
             node = state.current_node
-            colocated = colocated_of.get(r, ()) if colocated_of else ()
             deg = degree[node]
+            view.at_home = node == state.home_node
+            view.entered_port = state.entered_port
+            view.degree_here = deg
+            view.colocated = colocated_of.get(r, ()) if colocated_of else ()
             state.wake_round = nxt  # the default; programs set only later rounds
-            port = step(state, _new_record(StepView, (
-                rnd, node == state.home_node, state.entered_port, deg, colocated
-            )))
+            port = step(state, view)
             if port is not None:
                 if not (0 <= port < deg):
                     raise IllegalPort(

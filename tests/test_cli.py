@@ -133,6 +133,19 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
     assert err == f"error: cannot write {path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--report"])
+@pytest.mark.parametrize("target, code", [("missing/out", errno.ENOENT), ("", errno.EISDIR)],
+                         ids=["missing-directory", "a-directory"])
+def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, flag, target, code):
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "count_butterflies", never)
+    path = str(tmp_path / target)
+    assert cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", flag, path]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {path}: {os.strerror(code)}\n")
+
+
 def test_failed_write_names_the_output(tmp_path, capsys, monkeypatch):
     # an error raised by a write, not an open, carries no file name
     def full(path, trace):

@@ -7,6 +7,8 @@ followed by the id itself, read MSB first.  For ids 2 and 6 under bound
 2 has a 1 and agent 6 a 0 is 6, so agent 2 visits agent 6 in slot 6.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from butterfly_agents.protocols.meeting import (
     MeetingWindowProgram,
     first_separation,
     make_meeting_id,
+    meeting_word,
     next_departure,
     simulate_pair,
     window_length,
@@ -27,6 +30,24 @@ from butterfly_agents.runtime import NEVER, place_dispersed, run
 def test_meeting_words_for_the_worked_pair():
     assert make_meeting_id(2, 15).bits == "11010010"
     assert make_meeting_id(6, 15).bits == "10010110"
+
+
+@pytest.mark.parametrize("lam", [1, 2, 15, 255, 2**40])
+def test_int_meeting_word_is_the_schedule_string(lam):
+    if lam < 2**40:
+        ids = range(lam + 1)
+    else:
+        ids = [0, 1, lam - 1, lam] + random.Random(lam).sample(range(lam + 1), 200)
+    for agent in ids:
+        assert meeting_word(agent, lam) == int(make_meeting_id(agent, lam).bits, 2), agent
+
+
+@pytest.mark.parametrize("build", [make_meeting_id, meeting_word])
+def test_meeting_words_reject_ids_outside_the_bound(build):
+    with pytest.raises(ValueError, match="^agent id must be nonnegative$"):
+        build(-1, 15)
+    with pytest.raises(ValueError, match="^agent id 16 exceeds the declared bound 15$"):
+        build(16, 15)
 
 
 def test_bit_indexing_is_lsb_first():

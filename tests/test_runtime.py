@@ -34,6 +34,7 @@ from butterfly_agents.runtime import (
     IllegalPort,
     RoundLimitExceeded,
     RunContext,
+    Snapshot,
     StepView,
     Timeline,
     _degree_bits,
@@ -751,6 +752,32 @@ def test_lazy_and_always_step_pipelines_agree(case):
         always = pipeline()
     assert lazy == always
     assert lazy[1] == sorted(lazy[1])
+    # The engine refreshes one view and one snapshot per agent in place; a
+    # program that kept one past its step would read later values there.
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (election_module, treecast_module, butterfly_module):
+            mp.setattr(module, "run", fresh_views_run)
+        fresh = pipeline()
+    assert fresh == lazy
+
+
+def fresh_views_run(graph, config, program, **kwargs):
+    """Stands in for ``run``: hands every ``step`` a new view and new
+    snapshots built from the engine's, with scratch and tables copied."""
+    step = program.step
+
+    def fresh_step(state, view):
+        colocated = tuple(
+            Snapshot(s.id, s.at_home, s.entered_port, s.partition, s.child, s.treelabel,
+                     tuple(s.neighbor_list), dict(s.scratch))
+            for s in view.colocated
+        )
+        return step(state, StepView(
+            view.round, view.at_home, view.entered_port, view.degree_here, colocated
+        ))
+
+    program.step = fresh_step
+    return run(graph, config, program, **kwargs)
 
 
 def test_colocated_snapshots_are_round_start_copies():
@@ -1136,13 +1163,15 @@ class PublishAudit:
 
         def audited_step(state, view):
             colocated = tuple(
-                s._replace(
-                    neighbor_list=RecordingTable(s.neighbor_list, reads),
-                    scratch=RecordingScratch(s.scratch, reads),
+                Snapshot(
+                    s.id, s.at_home, s.entered_port, s.partition, s.child, s.treelabel,
+                    RecordingTable(s.neighbor_list, reads), RecordingScratch(s.scratch, reads),
                 )
                 for s in view.colocated
             )
-            return step(state, view._replace(colocated=colocated))
+            return step(state, StepView(
+                view.round, view.at_home, view.entered_port, view.degree_here, colocated
+            ))
 
         program.step = audited_step
         program.published = None  # full views, so every read can be logged
