@@ -90,8 +90,6 @@ def _build_graph(args) -> tuple[PortGraph, Bipartition | None]:
     if args.graph:
         try:
             return load_graph(args.graph)
-        except OSError as exc:
-            raise CliError(f"cannot read {args.graph}: {exc}") from exc
         except GraphFormatError as exc:
             raise CliError(f"bad graph file {args.graph}: {exc}") from exc
     if not args.gen:

@@ -365,6 +365,8 @@ def load_graph(path: str) -> tuple[PortGraph, Bipartition]:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: not UTF-8 text") from exc
     if not lines:
         raise GraphFormatError(f"{path}: empty file")
     head = lines[0].split()

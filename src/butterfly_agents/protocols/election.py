@@ -233,8 +233,10 @@ class ElectionProgram(AgentProgram):
             if state.treelabel == res_label:
                 if pivot_key[0] < res_label:
                     return  # parent is being absorbed right now: delivery void
+                # reported agents sleep for good: drop the errand keys now
                 ps["reported"] = True
-                ps["trip_done"] = True
+                del ps["trip_port"], ps["trip_rep"], ps["trip_done"]
+                state.dirty = True
             elif state.treelabel > res_label and pivot_key[0] >= res_label:
                 # Parent switched to a smaller tree while our report was in
                 # flight.  The report is stale; re-attach over the same edge.

@@ -30,8 +30,9 @@ The engine-program contract:
   round; a program sets it only to sleep (``NEVER``) or to wake later.
   An agent is stepped in its wake round, and earlier only if others stand
   at its node at the start of a round.  Sleeping agents stay put, so
-  skipping their steps is behavior-preserving (an always-step
-  equivalence test exercises this).
+  skipping their steps is behavior-preserving: the tests check ``run``,
+  one engine call at a time, against ``tests/reference_engine.py``, which
+  steps every agent every round.
 * Memory depends only on which scratch keys are live and on the table
   lengths.  A step sets ``state.dirty`` exactly when it changes either: a
   scratch key came or went, or ``neighbor_list`` or ``counters`` changed
@@ -80,7 +81,7 @@ at its turn; agents earlier in that sweep have already moved.
 Traces.  A traced round lists every agent once, in ascending id, at its
 round-start node, whether or not it was stepped; fast-forwarded rounds
 follow the same rule.  So the trace depends on the simulation alone, not on
-the scheduler, and lazy and always-step runs write the same one.
+the scheduler, and the reference engine writes the same one.
 """
 
 from __future__ import annotations
@@ -509,7 +510,6 @@ def run(
     *,
     max_rounds: int | None = None,
     record_trace: bool = False,
-    always_step: bool = False,
 ) -> RunResult:
     """Drive ``program`` on ``config`` until every agent reports done.
 
@@ -519,9 +519,8 @@ def run(
     """
     states = config.states
     lam = config.lam
-    n = len(states)
     if max_rounds is None:
-        max_rounds = default_max_rounds(n, lam)
+        max_rounds = default_max_rounds(len(states), lam)
     delta = graph.max_degree
     adjacency = graph.adjacency
     degree = graph.degrees
@@ -588,38 +587,35 @@ def run(
             )
 
         # Who needs a step this round?
-        if always_step:
-            active = range(n)
+        booked = calendar.pop(rnd, None)
+        if not (lane or crowded or booked):
+            # Nothing due and nobody co-located: fast-forward.
+            if not calendar:
+                raise RoundLimitExceeded(
+                    program.name, rnd,
+                    f"{program.name}: all agents asleep with {undone} not done",
+                )
+            skip_to = min(calendar)
+            if skip_to >= max_rounds:
+                raise RoundLimitExceeded(
+                    program.name, rnd,
+                    f"{program.name}: no termination within {max_rounds} rounds",
+                )
+            if trace is not None:
+                here = [(s.id, s.current_node) for s in by_id]
+                for r in range(rnd, skip_to):
+                    trace.extend((r, a, v, "stay", None) for a, v in here)
+            rnd = skip_to
+            booked = calendar.pop(rnd)
+        if booked is None and not crowded:
+            active = lane  # the last sweep filled it in rank order
         else:
-            booked = calendar.pop(rnd, None)
-            if not (lane or crowded or booked):
-                # Nothing due and nobody co-located: fast-forward.
-                if not calendar:
-                    raise RoundLimitExceeded(
-                        program.name, rnd,
-                        f"{program.name}: all agents asleep with {undone} not done",
-                    )
-                skip_to = min(calendar)
-                if skip_to >= max_rounds:
-                    raise RoundLimitExceeded(
-                        program.name, rnd,
-                        f"{program.name}: no termination within {max_rounds} rounds",
-                    )
-                if trace is not None:
-                    here = [(s.id, s.current_node) for s in by_id]
-                    for r in range(rnd, skip_to):
-                        trace.extend((r, a, v, "stay", None) for a, v in here)
-                rnd = skip_to
-                booked = calendar.pop(rnd)
-            if booked is None and not crowded:
-                active = lane  # the last sweep filled it in rank order
-            else:
-                due = set(lane)
-                if booked is not None:
-                    due.update([r for r in booked if by_id[r].wake_round == rnd])
-                for node in crowded:
-                    due.update(occupants[node])
-                active = sorted(due)
+            due = set(lane)
+            if booked is not None:
+                due.update([r for r in booked if by_id[r].wake_round == rnd])
+            for node in crowded:
+                due.update(occupants[node])
+            active = sorted(due)
         lane = []
         lane_append = lane.append
         nxt = rnd + 1
@@ -708,7 +704,7 @@ def run(
             if wake <= nxt:  # "now" means next round
                 state.wake_round = nxt
                 lane_append(r)
-            elif wake < NEVER and not always_step:
+            elif wake < NEVER:
                 calendar.setdefault(wake, []).append(r)
 
         if trace is not None:

@@ -93,6 +93,43 @@ def test_run_from_graph_file(tmp_path, capsys):
     assert "butterflies_total: 3" in capsys.readouterr().out
 
 
+def test_unreadable_graph_file_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.graph"
+    garbled = tmp_path / "garbled.graph"
+    garbled.write_bytes(b"\xff\xfe 2 2 1\n0 0\n")
+    for path, fault in (
+        (missing, f"cannot read {missing}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+                  f"'{missing}'"),
+        (garbled, f"{garbled}: not UTF-8 text"),
+    ):
+        assert cli.main(["run", "--graph", str(path), "--ids", "seq"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad graph file {path}: {fault}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--graph", "g.graph", "--gen", "complete", "2", "2"],
+     "--graph and --gen are mutually exclusive"),
+    (["--gen", "random", "3", "3", "1.5"],
+     "bad --gen random parameters ['3', '3', '1.5']: edge_prob must be within [0, 1]"),
+    (["--gen", "complete", "2", "2", "--ids", "list:1,x"],
+     "bad --ids list: invalid literal for int() with base 10: 'x'"),
+    (["--gen", "complete", "2", "2", "--ids", "bogus"],
+     "--ids must be seq, rand, or list:... (got 'bogus')"),
+    (["--gen", "complete", "2", "2", "--ids", "seq", "--lam", "2"],
+     "lam 2 is below max id 3"),
+    (["--protocol", "known-leader", "--gen", "complete", "2", "2", "--ids", "seq",
+      "--leader", "7"],
+     "--leader 7 is not among the agent ids"),
+], ids=["graph-and-gen", "random-prob", "ids-list", "ids-spec", "lam", "leader"])
+def test_bad_configuration_is_a_config_error(capsys, argv, message):
+    assert cli.main(["run", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_trace_and_report_files(tmp_path):
     trace = tmp_path / "t.jsonl"
     report = tmp_path / "r.json"

@@ -3,6 +3,7 @@
 import array
 import hashlib
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -117,6 +118,26 @@ def test_load_rejects_bad_header(tmp_path):
     path.write_text("whatever 3\n")
     with pytest.raises(GraphFormatError):
         load_graph(str(path))
+    # every other malformed file, each with the message that names its fault
+    with pytest.raises(GraphFormatError, match="^cannot read .*missing.graph"):
+        load_graph(str(tmp_path / "missing.graph"))
+    for content, message in (
+        (b"", "empty file"),
+        (b" \n\n", "empty file"),
+        (b"a b c\n", "non-integer header"),
+        (b"0 2 0\n", "header values out of range"),
+        (b"2 0 0\n", "header values out of range"),
+        (b"1 1 -1\n", "header values out of range"),
+        (b"2 2 2\n0 0\n", "header promises 2 edges, file has 1"),
+        (b"2 2 1\n0\n", "bad edge line '0'"),
+        (b"2 2 1\n0 x\n", "bad edge line '0 x'"),
+        (b"2 2 2\n0 0\n0 0\n", r"duplicate edge \(0, 0\)"),
+        (b"2 2 2\n0 0\n1 1\n", "invalid graph: graph is disconnected"),
+        (b"\xff\xfe 2 2 1\n0 0\n", "not UTF-8 text"),
+    ):
+        path.write_bytes(content)
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(str(path))}: {message}"):
+            load_graph(str(path))
 
 
 def test_load_rejects_edge_out_of_range(tmp_path):

@@ -369,3 +369,8 @@ def test_spanning_tree_checker_rejects_port_out_of_range():
     g, _ = make_path(4)
     check = check_spanning_tree(g, {0: None, 1: 0, 2: 0, 3: 5}, root=0)
     assert not check.ok
+    # and parent maps that miss a node or name one the graph lacks
+    for ports in ({0: None, 1: 0, 2: 0}, {0: None, 1: 0, 2: 0, 3: 0, 4: 0}):
+        check = check_spanning_tree(g, ports, root=0)
+        assert not check.ok
+        assert check.problems == ("parent map does not cover every node exactly once",)

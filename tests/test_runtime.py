@@ -2,7 +2,8 @@
 
 import collections
 import collections.abc
-import functools
+import copy
+import dataclasses
 import json
 import operator
 import random
@@ -46,6 +47,7 @@ from butterfly_agents.runtime import (
     run,
     write_trace_jsonl,
 )
+from reference_engine import reference_run
 
 
 class SitStill(AgentProgram):
@@ -684,6 +686,48 @@ def convergecast_case():
     return g, cfg, ConvergecastProgram(tree, kids, values, operator.add, value_width=8)
 
 
+def bad_port_case():
+    """Agent 1 moves, then agent 5 asks for a port its node lacks."""
+    g, _ = make_path(3)
+    prog = Scripted({1: 0, 3: 0, 5: 0}, {(0, 1): (0, 1), (0, 5): (1, 1)})
+    return g, place_dispersed(g, [5, 1, 3]), prog
+
+
+# the protocol modules' engine seam: each calls its own module-level ``run``
+AUDITED_MODULES = (election_module, known_leader_module, treecast_module, butterfly_module)
+
+# what an engine leaves of an agent, less its bookkeeping (wake_round, dirty)
+COMPARED_FIELDS = [
+    f.name for f in dataclasses.fields(AgentState) if f.name not in ("wake_round", "dirty")
+]
+
+
+def summary(result, config):
+    """What two engines must agree on after one call: rounds, peaks, the
+    trace and every agent's final state."""
+    finals = [{name: getattr(s, name) for name in COMPARED_FIELDS} for s in config.states]
+    return result.rounds, result.peak_bits, result.trace, finals
+
+
+class ReferenceCheck:
+    """Stands in for ``run``: runs the reference engine on deep copies of
+    ``config`` and ``program``, then ``run`` on the originals, asserts that
+    the two agree on the call's summary and on the program's own records,
+    and returns ``run``'s result."""
+
+    def __init__(self):
+        self.phases = []  # the program name of every call checked
+
+    def __call__(self, graph, config, program, **kwargs):
+        self.phases.append(program.name)
+        ref_config, ref_program = copy.deepcopy((config, program))
+        expected = reference_run(graph, ref_config, ref_program, **kwargs)
+        result = run(graph, config, program, **kwargs)
+        assert summary(result, config) == summary(expected, ref_config), program.name
+        assert vars(program) == vars(ref_program), program.name
+        return result
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -694,6 +738,7 @@ def convergecast_case():
         wedge_count_case,
         broadcast_case,
         convergecast_case,
+        bad_port_case,
     ],
     ids=[
         "meeting_window",
@@ -703,19 +748,31 @@ def convergecast_case():
         "wedge_count",
         "broadcast",
         "convergecast",
+        "bad_port",
     ],
 )
-def test_lazy_and_always_step_agree(case):
-    def one_run(always_step):
+def test_run_matches_the_reference(case):
+    """One engine call of each program, run by ``run`` and by the reference
+    engine, gives the same summary, the same reads of co-located agents and
+    the same meetings.  Each case is built twice: the read log is a closure
+    on the program, which a deep copy would share.  An ``IllegalPort``
+    agrees on its type, phase, round and agent only, as ``run`` raises
+    mid-sweep."""
+    def one_run(engine):
         g, cfg, program = case()
         comms = record_reads(program)
-        res = run(g, cfg, program, record_trace=True, always_step=always_step)
-        finals = [(s.id, s.current_node) for s in cfg.states]
-        return res.rounds, dict(res.peak_bits), finals, res.trace, comms
+        try:
+            res = engine(g, cfg, program, record_trace=True)
+        except IllegalPort as err:
+            return type(err), err.phase, err.round, err.agent
+        return summary(res, cfg), comms, getattr(program, "meetings", None)
 
-    lazy, always = one_run(False), one_run(True)
-    assert lazy == always
-    assert lazy[0] > 0
+    expected = one_run(reference_run)
+    assert one_run(run) == expected
+    if case is bad_port_case:
+        assert expected == (IllegalPort, "scripted", 0, 5)
+    else:
+        assert expected[0][0] > 0
 
 
 @st.composite
@@ -733,51 +790,19 @@ def pipeline_inputs(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(pipeline_inputs())
-def test_lazy_and_always_step_pipelines_agree(case):
-    """Every phase of the whole pipeline, run lazily and with every agent
-    stepped every round, gives the same report and the same trace, written
-    in (round, agent) order."""
+def test_pipelines_match_the_reference(case):
+    """Every engine call of the whole pipeline agrees with the reference
+    engine, and the trace is written in (round, agent) order."""
     g, ids, lam = case
-
-    def pipeline():
+    check = ReferenceCheck()
+    with pytest.MonkeyPatch.context() as mp:
+        for module in AUDITED_MODULES:
+            mp.setattr(module, "run", check)
         res = butterfly_module.count_butterflies(
             g, place_dispersed(g, ids, lam=lam), record_trace=True
         )
-        return res.report.to_json(), res.trace
-
-    lazy = pipeline()
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (election_module, treecast_module, butterfly_module):
-            mp.setattr(module, "run", functools.partial(run, always_step=True))
-        always = pipeline()
-    assert lazy == always
-    assert lazy[1] == sorted(lazy[1])
-    # The engine refreshes one view and one snapshot per agent in place; a
-    # program that kept one past its step would read later values there.
-    with pytest.MonkeyPatch.context() as mp:
-        for module in (election_module, treecast_module, butterfly_module):
-            mp.setattr(module, "run", fresh_views_run)
-        fresh = pipeline()
-    assert fresh == lazy
-
-
-def fresh_views_run(graph, config, program, **kwargs):
-    """Stands in for ``run``: hands every ``step`` a new view and new
-    snapshots built from the engine's, with scratch and tables copied."""
-    step = program.step
-
-    def fresh_step(state, view):
-        colocated = tuple(
-            Snapshot(s.id, s.at_home, s.entered_port, s.partition, s.child, s.treelabel,
-                     tuple(s.neighbor_list), dict(s.scratch))
-            for s in view.colocated
-        )
-        return step(state, StepView(
-            view.round, view.at_home, view.entered_port, view.degree_here, colocated
-        ))
-
-    program.step = fresh_step
-    return run(graph, config, program, **kwargs)
+    assert len(check.phases) == 8
+    assert res.trace == sorted(res.trace)
 
 
 def test_colocated_snapshots_are_round_start_copies():
@@ -862,54 +887,28 @@ def test_crowds_list_agents_in_id_order_as_they_arrive_and_leave():
 
 
 def test_dirty_gated_peaks_match_a_full_recount(monkeypatch):
-    """The engine accounts memory only on steps that set ``dirty``.  Recount
-    every agent with the public ``account_memory`` after ``on_start`` and
-    after every step instead: each phase's running maximum must be the peak
-    the engine reported, so no program changed state without saying so."""
-    g, _ = make_random_connected_bipartite(9, 11, edge_prob=0.4, seed=5)  # A8
-    ids = random.Random(5).sample(range(64), 20)
-    phases = []
-
-    def recounting_run(graph, config, program, **kwargs):
-        recount = {}
-
-        def account(state):
-            bits = account_memory(state, config.lam, graph.max_degree, program.scratch_widths)
-            recount[state.id] = max(recount.get(state.id, 0), bits)
-
-        on_start, step = program.on_start, program.step
-
-        def counted_on_start(states, ctx):
-            on_start(states, ctx)
-            for s in states:
-                account(s)
-
-        def counted_step(state, view):
-            port = step(state, view)
-            account(state)
-            return port
-
-        program.on_start = counted_on_start
-        program.step = counted_step
-        result = run(graph, config, program, **kwargs)
-        phases.append((program.name, recount, result.peak_bits))
-        return result
-
-    for module in (election_module, treecast_module, butterfly_module):
-        monkeypatch.setattr(module, "run", recounting_run)
-    butterfly_module.count_butterflies(g, place_dispersed(g, ids))
-    assert [name for name, _, _ in phases] == [
-        "election",
-        "broadcast-down",
-        "neighbor-scan",
-        "wedge-count",
-        "convergecast",
-        "broadcast-down",
-        "neighbor-scan",
-        "wedge-count",
-    ]
-    for name, recount, peak in phases:
-        assert recount == peak, name
+    """The engine accounts memory only on steps that set ``dirty``; the
+    reference engine recounts every agent with ``account_memory`` after
+    ``on_start`` and after every step.  On A8 and K34 every engine call of
+    the pipeline must agree with it, peaks included, so no program changed
+    state without saying so."""
+    check = ReferenceCheck()
+    for module in AUDITED_MODULES:
+        monkeypatch.setattr(module, "run", check)
+    for instance in ("A8", "K34"):
+        g, ids = audit_instance(instance)
+        check.phases.clear()
+        butterfly_module.count_butterflies(g, place_dispersed(g, ids))
+        assert check.phases == [
+            "election",
+            "broadcast-down",
+            "neighbor-scan",
+            "wedge-count",
+            "convergecast",
+            "broadcast-down",
+            "neighbor-scan",
+            "wedge-count",
+        ], instance
 
 
 def test_timeline_settings_reach_every_phase(monkeypatch):
@@ -953,33 +952,19 @@ def test_timeline_settings_reach_every_phase(monkeypatch):
 
 
 class StepAudit:
-    """Stands in for ``run``: wraps the program's ``on_start`` and ``step``
-    to recount every agent with the public ``account_memory`` after
-    ``on_start`` and after every step, and to check each step's ``dirty``
-    mark against whether the step changed the live scratch keys or a table
-    length."""
+    """Stands in for ``run``: wraps the program's ``step`` to check each
+    step's ``dirty`` mark against whether the step changed the live scratch
+    keys or a table length."""
 
     def __init__(self):
-        self.phases = []  # (program name, recounted peaks, engine peaks)
         self.steps = collections.Counter()  # (program name, dirty) -> steps
         self.wrong_marks = []  # (program name, round, agent id, dirty, changed)
 
     def __call__(self, graph, config, program, **kwargs):
-        recount = {}
-
-        def account(state):
-            bits = account_memory(state, config.lam, graph.max_degree, program.scratch_widths)
-            recount[state.id] = max(recount.get(state.id, 0), bits)
-
         def shape(state):
             return sorted(state.phase_state), len(state.neighbor_list), len(state.counters)
 
-        on_start, step = program.on_start, program.step
-
-        def audited_on_start(states, ctx):
-            on_start(states, ctx)
-            for s in states:
-                account(s)
+        step = program.step
 
         def audited_step(state, view):
             before = shape(state)
@@ -988,17 +973,10 @@ class StepAudit:
             self.steps[program.name, state.dirty] += 1
             if state.dirty != changed:
                 self.wrong_marks.append((program.name, view.round, state.id, state.dirty, changed))
-            account(state)
             return port
 
-        program.on_start = audited_on_start
         program.step = audited_step
-        result = run(graph, config, program, **kwargs)
-        self.phases.append((program.name, recount, result.peak_bits))
-        return result
-
-
-AUDITED_MODULES = (election_module, known_leader_module, treecast_module, butterfly_module)
+        return run(graph, config, program, **kwargs)
 
 
 def audit_instance(name):
@@ -1042,20 +1020,16 @@ def test_dirty_marks_are_exact(instance, monkeypatch):
 
 @pytest.mark.parametrize("instance", ["A8", "K34"])
 def test_dirty_gated_peaks_match_a_full_recount_beyond_the_pipeline(instance, monkeypatch):
-    """The recount check of the pipeline, for the known-leader tree (with
-    its downcast) and the meeting windows."""
+    """The reference comparison of the pipeline, for the known-leader tree
+    (with its downcast) and the meeting windows."""
     g, ids = audit_instance(instance)
-    audit = StepAudit()
+    check = ReferenceCheck()
     for module in AUDITED_MODULES:
-        monkeypatch.setattr(module, "run", audit)
+        monkeypatch.setattr(module, "run", check)
     known_leader_tree(g, place_dispersed(g, ids), leader_id=min(ids))
     cfg = place_dispersed(g, ids)
-    audit(g, cfg, meeting_program(ids, cfg.lam))
-    assert [name for name, _, _ in audit.phases] == [
-        "known-leader-tree", "broadcast-down", "meeting-window",
-    ]
-    for name, recount, peak in audit.phases:
-        assert recount == peak, name
+    check(g, cfg, meeting_program(ids, cfg.lam))
+    assert check.phases == ["known-leader-tree", "broadcast-down", "meeting-window"]
 
 
 @pytest.mark.parametrize("instance", ["A8", "K34", "K12,12"])
