@@ -91,7 +91,7 @@ def _build_graph(args) -> tuple[PortGraph, Bipartition | None]:
         try:
             return load_graph(args.graph)
         except GraphFormatError as exc:
-            raise CliError(f"bad graph file {args.graph}: {exc}") from exc
+            raise CliError(f"bad graph file: {exc}") from exc
     if not args.gen:
         raise CliError("one of --gen or --graph is required")
     name, *params = args.gen

@@ -364,7 +364,7 @@ def load_graph(path: str) -> tuple[PortGraph, Bipartition]:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except OSError as exc:
-        raise GraphFormatError(f"cannot read {path}: {exc}") from exc
+        raise GraphFormatError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise GraphFormatError(f"{path}: not UTF-8 text") from exc
     if not lines:

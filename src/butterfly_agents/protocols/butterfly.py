@@ -23,7 +23,6 @@ edge is crossed from both ends, so an edge joining two same-side nodes
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from ..runtime import (
@@ -95,11 +94,8 @@ class LockstepSweep(AgentProgram):
     host behind port ``k``) and ``finish`` (after its last port); ``host``
     is what a stationary agent does when stepped.  Each of the three sets
     ``state.dirty`` when it lengthens a table or adds a scratch key.
-    ``table`` names the per-agent table the sweep fills, emptied for every
-    agent at the start.
     """
 
-    table = "neighbor_list"
     published: frozenset[str] = frozenset()
 
     def __init__(self, mover_side: int):
@@ -141,14 +137,12 @@ class LockstepSweep(AgentProgram):
             "bfly": ctx.id_width + 2 * dw,  # the wedge count's per-node result
         }
         for state, deg in zip(states, ctx.degrees):
-            getattr(state, self.table).clear()
             if state.partition == self.mover_side:
                 state.phase_state = {"mydeg": deg, "scan_done": deg == 0}
                 state.wake_round = 0
                 if deg == 0:  # no ports to sweep
                     self.finish(state)
             else:
-                state.phase_state = {}
                 state.wake_round = NEVER
 
     def step(self, state: AgentState, view: StepView) -> int | None:
@@ -182,6 +176,11 @@ class NeighborScanProgram(LockstepSweep):
 
     name = "neighbor-scan"
 
+    def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
+        for state in states:  # every table is rebuilt from empty
+            state.neighbor_list.clear()
+        super().on_start(states, ctx)
+
     def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
         state.neighbor_list.append((port, resident.id))
         state.dirty = True
@@ -199,7 +198,6 @@ class WedgeCountProgram(LockstepSweep):
     number of butterflies through their own node."""
 
     name = "wedge-count"
-    table = "counters"
     published = frozenset(("neighbor_list",))
 
     def visit(self, state: AgentState, resident: Snapshot, port: int) -> None:
@@ -247,7 +245,7 @@ def fold_and_halve(
     if timeline is None:
         timeline = Timeline()
     doubled, fold = convergecast(
-        graph, config, tree, values, operator.add, value_width=value_width, **timeline.settings
+        graph, config, tree, values, value_width=value_width, **timeline.settings
     )
     timeline.add("total_fold", fold)
     if doubled % 2:
@@ -288,8 +286,6 @@ def count_butterflies(
         for s in config.states:
             if s.partition == side:
                 per_node[s.id] = s.phase_state["bfly"]
-            s.counters = {}
-            s.phase_state = {}
 
     sweep(0, "a")
 

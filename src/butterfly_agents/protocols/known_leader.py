@@ -277,16 +277,15 @@ def deliver_aggregates(
     """Close a finished tree protocol and push its totals down the tree.
 
     Reads the root's aggregate, takes the partition and the tree from the
-    agents, drops their scratch, and broadcasts (n, count0, count1, max
-    degree, degree sum) to every agent, added to ``timeline`` as phase
-    ``downcast``.  The result has neither report nor trace.
+    agents, and broadcasts (n, count0, count1, max degree, degree sum) to
+    every agent, added to ``timeline`` as phase ``downcast``, which starts
+    without the tree protocol's scratch.  The result has neither report
+    nor trace.
     """
     ps = root.phase_state
     payload = AggregatePayload(ps["agg_deg"], ps["agg_c0"], ps["agg_c1"], ps["agg_max"])
     partition = {s.id: s.partition for s in config.states}
     tree = tree_from_states(config.states)
-    for s in config.states:  # aggregates delivered; drop working memory
-        s.phase_state = {}
 
     lw = id_bits(config.lam)
     dw = max(graph.max_degree.bit_length(), 1)

@@ -6,8 +6,8 @@ two-round waves (even round: depart, odd round: communicate and return),
 the same rhythm the tree-building protocols use.
 
 Convergecast: an agent whose children have all reported carries its
-combined value to its parent's node; the root holds the full combination
-after at most 2 * height rounds.
+subtree sum to its parent's node; the root holds the full sum after at
+most 2 * height rounds.
 
 Broadcast: every uninformed agent oscillates to its parent each wave and
 copies the value once the parent has it; agents at depth t are informed
@@ -17,7 +17,7 @@ after 2t rounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 from ..runtime import (
     NEVER,
@@ -82,10 +82,10 @@ def tree_from_states(states: list[AgentState]) -> TreeEdgeSet:
 
 
 class ConvergecastProgram(AgentProgram):
-    """Combine per-agent values up a tree into its root.
+    """Sum per-agent values up a tree into its root.
 
-    ``combine(acc, incoming)`` must be associative enough for the order
-    children happen to report in; sums and maxima are.
+    The sums stay in the agents' scratch after the run (the root's ``acc``
+    is the answer); the next phase starts without them.
     """
 
     name = "convergecast"
@@ -95,14 +95,12 @@ class ConvergecastProgram(AgentProgram):
         self,
         tree: TreeEdgeSet,
         kids_count: dict[int, int],
-        values: dict[int, Any],
-        combine: Callable[[Any, Any], Any],
+        values: dict[int, int],
         value_width: int,
     ):
         self.tree = tree
         self.kids_count = kids_count
         self.values = values
-        self.combine = combine
         self.scratch_widths = {
             "acc": value_width,
             "kids_left": "deg",
@@ -132,7 +130,7 @@ class ConvergecastProgram(AgentProgram):
         # Home: fold in any children delivering right now; no one else here
         # is at home, as each node is one agent's home.
         for visitor in view.colocated:
-            ps["acc"] = self.combine(ps["acc"], visitor.scratch["acc"])
+            ps["acc"] += visitor.scratch["acc"]
             ps["kids_left"] -= 1
         parent = self.tree.parent_port[state.id]
         if ps["kids_left"] or ps["reported"] or parent is None:
@@ -151,21 +149,17 @@ def convergecast(
     graph,
     config: SimConfig,
     tree: TreeEdgeSet,
-    values: dict[int, Any],
-    combine: Callable[[Any, Any], Any],
+    values: dict[int, int],
     value_width: int,
     max_rounds: int | None = None,
     record_trace: bool = False,
-) -> tuple[Any, RunResult]:
-    """Run a convergecast; returns (root value, engine result)."""
+) -> tuple[int, RunResult]:
+    """Run a convergecast; returns (root sum, engine result)."""
     kids = {a: len(c) for a, c in tree.children_map(graph).items()}
-    program = ConvergecastProgram(tree, kids, values, combine, value_width)
+    program = ConvergecastProgram(tree, kids, values, value_width)
     result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
     root_state = next(s for s in config.states if s.id == tree.root_id)
-    root_value = root_state.phase_state["acc"]
-    for s in config.states:
-        s.phase_state = {}
-    return root_value, result
+    return root_state.phase_state["acc"], result
 
 
 class BroadcastProgram(AgentProgram):
@@ -218,5 +212,5 @@ def broadcast_down(
     """Run a broadcast; returns ({agent id: received value}, engine result)."""
     program = BroadcastProgram(tree, value, value_width)
     result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
-    received = {s.id: s.phase_state.pop("received") for s in config.states}
+    received = {s.id: s.phase_state["received"] for s in config.states}
     return received, result

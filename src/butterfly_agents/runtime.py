@@ -17,6 +17,10 @@ agents standing at the same node.
 
 The engine-program contract:
 
+* ``run`` hands ``on_start`` every agent with an empty scratch dict
+  (``phase_state``) and an empty tally (``counters``).  Only the fixed
+  fields (position, side, tree ports, flags and label) and the neighbor
+  table carry over from one phase to the next.
 * A :class:`Snapshot` holds only what the program publishes of another
   agent: the fixed fields (id, at-home flag, entry port, side, ``child``
   port, tree label), plus a round-start copy of its scratch dict if the
@@ -44,14 +48,12 @@ Per-round cost model.  Host work in a round is proportional to the agents
 stepped in it, not to the swarm: fast-forwarded rounds cost nothing unless
 a trace is recorded.  Ranks (rank = position in ascending id order) wait
 for their wake in one of two places.  A step that keeps the default wake
-appends its rank to the next-round lane, already in rank order because
-the sweep is.  Later wakes go to the calendar, which maps a round to the
-ranks booked for it, so its keys are the pending rounds; an entry is live
-while the agent's ``wake_round`` still names that round, so rescheduling
-never searches it (a wake before round 0 waits for a crowd).  A round
-with no slot, lane or crowd fast-forwards to the smallest key.  A round
-with no calendar slot and no crowd steps the lane as it stands, with no
-set and no sort; any other round merges the lane, the live calendar
+appends its rank to the next-round lane.  Later wakes go to the calendar,
+which maps a round to the ranks booked for it, so its keys are the pending
+rounds; an entry is live while the agent's ``wake_round`` still names that
+round, so rescheduling never searches it (a wake before round 0 waits for
+a crowd).  A round with no slot, lane or crowd fast-forwards to the
+smallest key.  Every stepped round merges the lane, the live calendar
 entries and the crowds' occupants into one sorted due set.  Bit widths
 (id, port, degree and every declared scratch key) are resolved into one
 int table per run, after ``on_start``, and the engine recounts inline,
@@ -245,6 +247,7 @@ class AgentProgram:
     published: Collection[str] | None = None
 
     def on_start(self, states: list[AgentState], ctx: "RunContext") -> None:
+        """Set up a phase; every agent arrives with empty scratch and tally."""
         raise NotImplementedError
 
     def step(self, state: AgentState, view: StepView) -> int | None:
@@ -531,6 +534,9 @@ def run(
         max_degree=delta,
         degrees=tuple(degree[s.home_node] for s in states),
     )
+    for s in states:  # a phase starts empty; fixed fields and neighbor table carry over
+        s.phase_state = {}
+        s.counters = {}
     program.on_start(states, ctx)
     # programs may pin exact widths in on_start
     widths = _resolve_widths(lam, delta, program.scratch_widths)
@@ -570,7 +576,7 @@ def run(
     # Wake calendar: round -> ranks booked for it, so its keys are the
     # pending rounds.  An entry is live while the agent's wake_round still
     # names its round.  The lane holds the ranks a sweep left on the
-    # default wake, in rank order; every lane entry is live.
+    # default wake; every lane entry is live.
     lane: list[int] = []
     calendar: dict[int, list[int]] = {}
     for r, s in enumerate(by_id):
@@ -607,15 +613,12 @@ def run(
                     trace.extend((r, a, v, "stay", None) for a, v in here)
             rnd = skip_to
             booked = calendar.pop(rnd)
-        if booked is None and not crowded:
-            active = lane  # the last sweep filled it in rank order
-        else:
-            due = set(lane)
-            if booked is not None:
-                due.update([r for r in booked if by_id[r].wake_round == rnd])
-            for node in crowded:
-                due.update(occupants[node])
-            active = sorted(due)
+        due = set(lane)
+        if booked is not None:
+            due.update([r for r in booked if by_id[r].wake_round == rnd])
+        for node in crowded:
+            due.update(occupants[node])
+        active = sorted(due)
         lane = []
         lane_append = lane.append
         nxt = rnd + 1

@@ -1,9 +1,10 @@
 """A second round engine, written from the ``runtime`` docstring alone.
 
 ``reference_run`` takes the arguments of ``runtime.run`` and returns the
-same ``RunResult``, but does everything the plain way: every round it
-steps every agent, in ascending id, and hands each step a newly built view
-whose snapshots are round-start copies of what the program publishes; it
+same ``RunResult``, but does everything the plain way: it empties every
+agent's scratch and tally before ``on_start``; every round it steps every
+agent, in ascending id, and hands each step a newly built view whose
+snapshots are round-start copies of what the program publishes; it
 applies all moves after all steps, recounts every agent with
 ``account_memory`` after ``on_start`` and after every step (``dirty`` is
 ignored), and writes the round's trace row in id order.  It shares no
@@ -32,6 +33,8 @@ def reference_run(graph, config, program, *, max_rounds=None, record_trace=False
     if max_rounds is None:
         max_rounds = default_max_rounds(len(states), lam)
     degrees = tuple(graph.degree(s.home_node) for s in states)
+    for s in states:
+        s.phase_state, s.counters = {}, {}
     program.on_start(states, RunContext(lam, id_bits(lam), delta, degrees))
     peak = {}
 

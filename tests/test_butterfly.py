@@ -132,6 +132,44 @@ def test_phase_round_budgets():
     assert sum(per.values()) == res.report.rounds_total
 
 
+def assert_exact_phase_rounds(g, res):
+    """Every phase after the election takes exactly its slots.  A sweep of
+    side x takes 2·Δ_x rounds, Δ_x the largest home degree on side x (side
+    "a" is partition 0, the leader's), and each tree phase takes 2·h, h the
+    height of the elected tree."""
+    tree = res.election.tree
+    height = check_spanning_tree(g, tree.node_parent_ports(), tree.home_node[tree.root_id]).height
+    side_delta = [0, 0]
+    for agent, side in res.election.partition.items():
+        side_delta[side] = max(side_delta[side], g.degree(tree.home_node[agent]))
+    expected = {
+        "downcast": 2 * height,
+        "neighbor_scan_a": 2 * side_delta[0],
+        "wedge_count_a": 2 * side_delta[0],
+        "total_fold": 2 * height,
+        "total_push": 2 * height,
+        "neighbor_scan_b": 2 * side_delta[1],
+        "wedge_count_b": 2 * side_delta[1],
+    }
+    per = res.report.rounds_per_phase
+    assert {phase: per[phase] for phase in expected} == expected
+
+
+@pytest.mark.parametrize(
+    "g, ids",
+    [
+        (make_random_connected_bipartite(9, 11, edge_prob=0.4, seed=5)[0],
+         random.Random(5).sample(range(64), 20)),
+        (make_complete_bipartite(3, 4)[0], [12, 3, 40, 7, 25, 1, 18]),
+        (make_complete_bipartite(12, 12)[0], random.Random(12).sample(range(48), 24)),
+    ],
+    ids=["A8", "K34", "K12,12"],
+)
+def test_phases_take_exactly_their_slots(g, ids):
+    _, res = count_on(g, ids)
+    assert_exact_phase_rounds(g, res)
+
+
 def test_report_lists_the_pipeline_phases_in_order():
     g, _ = make_random_connected_bipartite(3, 4, edge_prob=0.6, seed=4)
     _, res = count_on(g, [5, 0, 3, 6, 1, 4, 2])
@@ -334,7 +372,8 @@ K11 = make_complete_bipartite(1, 1)[0]
 def test_counts_survive_port_edge_and_id_relabeling(case):
     """Renumbering nodes, relabeling ports, reordering edges, permuting ids
     and raising λ changes no count: the total and every node's count are
-    the unrelabeled graph's oracle answers, and the minimum id leads.  The
+    the unrelabeled graph's oracle answers, the minimum id leads, and every
+    phase after the election takes exactly its slots.  The
     election keeps A3's bounds (rounds <= 16·n·L; peak <= 24·L bits once
     L >= 2, since at L = 1 the port, degree and flag fields alone exceed
     24 bits, and ``election_peak_bound`` at every L) and A4's (tree
@@ -346,6 +385,7 @@ def test_counts_survive_port_edge_and_id_relabeling(case):
         enumerate(oracle_per_node_butterflies(base))
     )
     assert res.election.leader_id == min(ids)
+    assert_exact_phase_rounds(g, res)
     n, width = g.node_count, id_bits(lam)
     report = res.election.report
     assert report.rounds_total <= 16 * n * width

@@ -14,6 +14,7 @@ from butterfly_agents import cli
 from butterfly_agents.graphs import build_port_graph, make_complete_bipartite, save_graph
 from butterfly_agents.oracle import diff_per_node
 from butterfly_agents.protocols import butterfly as butterfly_module
+from butterfly_agents.protocols import election as election_module
 from butterfly_agents.protocols.butterfly import OddButterflySum
 from butterfly_agents.runtime import write_trace_jsonl
 
@@ -98,14 +99,13 @@ def test_unreadable_graph_file_is_a_config_error(tmp_path, capsys):
     garbled = tmp_path / "garbled.graph"
     garbled.write_bytes(b"\xff\xfe 2 2 1\n0 0\n")
     for path, fault in (
-        (missing, f"cannot read {missing}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
-                  f"'{missing}'"),
+        (missing, f"cannot read {missing}: {os.strerror(errno.ENOENT)}"),
         (garbled, f"{garbled}: not UTF-8 text"),
     ):
         assert cli.main(["run", "--graph", str(path), "--ids", "seq"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: bad graph file {path}: {fault}\n"
+        assert err == f"error: bad graph file: {fault}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -369,4 +369,22 @@ def test_round_limit_line_names_phase_and_round(capsys):
     assert capsys.readouterr().err == (
         "round limit (phase election, round 5): "
         "election: no termination within 5 rounds\n"
+    )
+
+
+def test_round_limit_line_names_the_agent(capsys, monkeypatch):
+    # every agent starts with an errand one window short of the election's cap
+    start = election_module.ElectionProgram.on_start
+
+    def stalled_start(program, states, ctx):
+        start(program, states, ctx)
+        for s in states:
+            s.phase_state.update(trip_port=0, trip_rep=False, trip_done=False,
+                                 retry=program._retry_cap)
+
+    monkeypatch.setattr(election_module.ElectionProgram, "on_start", stalled_start)
+    assert cli.main(["run", "--gen", "complete", "2", "2", "--ids", "seq"]) == 3
+    assert capsys.readouterr().err == (
+        "round limit (phase election, round 0, agent 0): "
+        "agent 0: errand to port 0 unresolved for 6 windows\n"
     )

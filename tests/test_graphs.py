@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 
 from butterfly_agents import graphs
 from butterfly_agents.graphs import (
+    SIDE_A,
+    SIDE_B,
+    Bipartition,
     GraphFormatError,
+    PortGraph,
     build_port_graph,
     load_graph,
     make_clique,
@@ -95,6 +99,34 @@ def test_build_rejects_duplicate_edge():
         build_port_graph(2, [(0, 1), (1, 0)])
 
 
+def test_build_rejects_bad_port_order():
+    with pytest.raises(ValueError, match="bad port order for node 0"):
+        build_port_graph(3, [(0, 1), (0, 2)], {0: [1, 1]})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_complete_bipartite(0, 2),
+    lambda: make_random_connected_bipartite(2, 0, edge_prob=0.5, seed=1),
+    lambda: make_path(1),
+    lambda: make_clique(1),
+], ids=["complete", "random", "path", "clique"])
+def test_generators_reject_too_few_nodes(make):
+    with pytest.raises(ValueError, match="at least"):
+        make()
+
+
+@pytest.mark.parametrize("adjacency, problem", [
+    ((((2, 0),), ((0, 0),)), "node 0 port 0: neighbor 2 out of range"),
+    ((((0, 0),),), "node 0 port 0: self-loop"),
+    ((((1, 0), (1, 1)), ((0, 0), (0, 1))), "node 0: duplicate edge to 1"),
+    ((((1, 3),), ((0, 0),)), "node 0 port 0: reciprocal port 3 out of range at 1"),
+    ((((1, 0),), ((0, 0), (2, 0)), ((1, 0),)),
+     "port inconsistency: 2.0 -> (1, 0) but 1.0 -> (0, 0)"),
+], ids=["neighbor-range", "self-loop", "duplicate", "reciprocal-range", "inconsistent"])
+def test_validate_names_each_port_fault(adjacency, problem):
+    assert problem in validate(PortGraph(adjacency=adjacency))
+
+
 def test_save_load_round_trip(tmp_path):
     g, bip = make_random_connected_bipartite(4, 5, edge_prob=0.5, seed=9)
     path = str(tmp_path / "g.graph")
@@ -111,6 +143,12 @@ def test_save_load_round_trip(tmp_path):
     save_graph(path2, g2, bip2)
     g3, _ = load_graph(path2)
     assert g3.adjacency == g2.adjacency
+
+
+def test_save_requires_a_side_nodes_first(tmp_path):
+    g, _ = make_path(2)
+    with pytest.raises(ValueError, match="A-side nodes numbered first"):
+        save_graph(str(tmp_path / "g.graph"), g, Bipartition(side=(SIDE_B, SIDE_A)))
 
 
 def test_load_rejects_bad_header(tmp_path):

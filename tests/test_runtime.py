@@ -5,7 +5,6 @@ import collections.abc
 import copy
 import dataclasses
 import json
-import operator
 import random
 
 import pytest
@@ -282,6 +281,12 @@ def test_place_dispersed_rejects_duplicates():
     g, _ = make_path(3)
     with pytest.raises(ValueError):
         place_dispersed(g, [1, 2, 1])
+
+
+def test_place_dispersed_rejects_negative_ids():
+    g, _ = make_path(3)
+    with pytest.raises(ValueError, match="nonnegative"):
+        place_dispersed(g, [1, -2, 3])
 
 
 def test_place_dispersed_rejects_wrong_count():
@@ -683,7 +688,7 @@ def convergecast_case():
     g, cfg, tree = elected()
     kids = {a: len(c) for a, c in tree.children_map(g).items()}
     values = {s.id: s.id for s in cfg.states}
-    return g, cfg, ConvergecastProgram(tree, kids, values, operator.add, value_width=8)
+    return g, cfg, ConvergecastProgram(tree, kids, values, value_width=8)
 
 
 def bad_port_case():

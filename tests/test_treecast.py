@@ -1,7 +1,5 @@
 """Convergecast and broadcast over hand-built spanning trees."""
 
-import operator
-
 import pytest
 
 from butterfly_agents.graphs import make_complete_bipartite, make_path
@@ -46,13 +44,9 @@ def test_tree_from_states_requires_single_root():
 def test_convergecast_sums_along_a_line():
     g, tree = line_tree()
     cfg = place_dispersed(g, [3, 7, 1, 9])
-    total, result = convergecast(
-        g, cfg, tree, {3: 3, 7: 7, 1: 1, 9: 9}, operator.add, value_width=8
-    )
+    total, result = convergecast(g, cfg, tree, {3: 3, 7: 7, 1: 1, 9: 9}, value_width=8)
     assert total == 20
     assert result.rounds <= 2 * 4  # two rounds per level of height 3, plus slack
-    # scratch cleaned up afterwards so later phases account from zero
-    assert all(s.phase_state == {} for s in cfg.states)
 
 
 def test_convergecast_on_a_star():
@@ -64,8 +58,8 @@ def test_convergecast_on_a_star():
         parent_port={2: None, 4: 0, 6: 0, 8: 0, 10: 0, 12: 0},
     )
     cfg = place_dispersed(g, ids)
-    best, result = convergecast(g, cfg, tree, {i: i for i in ids}, max, value_width=8)
-    assert best == 12
+    total, result = convergecast(g, cfg, tree, {i: i for i in ids}, value_width=8)
+    assert total == 42
     assert result.rounds <= 4
 
 
@@ -83,5 +77,19 @@ def test_broadcast_then_convergecast_reuses_states():
     cfg = place_dispersed(g, [3, 7, 1, 9])
     received, _ = broadcast_down(g, cfg, tree, 5, value_width=8)
     assert set(received.values()) == {5}
-    total, _ = convergecast(g, cfg, tree, received, operator.add, value_width=8)
+    total, _ = convergecast(g, cfg, tree, received, value_width=8)
     assert total == 20
+
+
+def test_a_phase_inherits_no_scratch():
+    """A stale scratch key or tally entry left by an earlier phase changes
+    neither the answer, nor the rounds, nor the peak memory of the next."""
+    g, tree = line_tree()
+    _, fresh = broadcast_down(g, place_dispersed(g, [3, 7, 1, 9]), tree, 5, value_width=8)
+    stale = place_dispersed(g, [3, 7, 1, 9])
+    stale.states[2].phase_state["received"] = 99  # agent 1
+    stale.states[1].counters[3] = 4  # agent 7
+    received, result = broadcast_down(g, stale, tree, 5, value_width=8)
+    assert received == {3: 5, 7: 5, 1: 5, 9: 5}
+    assert (result.rounds, result.peak_bits) == (6, fresh.peak_bits)
+    assert fresh.rounds == 6
