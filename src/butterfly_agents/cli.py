@@ -100,14 +100,8 @@ def _build_graph(args) -> tuple[PortGraph, Bipartition | None]:
             a, b = map(int, params)
             return make_complete_bipartite(a, b)
         if name == "random":
-            if len(params) == 2:
-                a, b = map(int, params)
-                prob = 0.3
-            else:
-                a, b = int(params[0]), int(params[1])
-                prob = float(params[2])
-            seed = args.seed if args.seed is not None else 0
-            return make_random_connected_bipartite(a, b, prob, seed=seed)
+            a, b, prob = params + ["0.3"] if len(params) == 2 else params
+            return make_random_connected_bipartite(int(a), int(b), float(prob), seed=args.seed)
         if name == "path":
             (k,) = map(int, params)
             return make_path(k)
@@ -312,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--graph", help="load a graph file instead of generating")
     p_run.add_argument("--ids", default="rand",
                        help="agent ids: seq | rand | list:3,1,4 (default rand)")
-    p_run.add_argument("--seed", type=int, default=None, help="RNG seed for rand ids / random gen")
+    p_run.add_argument("--seed", type=int, default=0,
+                       help="RNG seed for rand ids / random gen (default 0)")
     p_run.add_argument("--lam", type=int, default=None,
                        help="declared id bound (default: the largest id)")
     p_run.add_argument("--protocol", choices=PROTOCOLS, default="butterfly-full")

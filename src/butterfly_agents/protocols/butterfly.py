@@ -42,7 +42,7 @@ from ..runtime import (
 )
 from .election import _elect
 from .known_leader import TreeResult
-from .treecast import TreeEdgeSet, broadcast_down, convergecast
+from .treecast import broadcast_down, convergecast
 
 # The pipeline's phases, in the order ``count_butterflies`` reports them.
 PHASES = (
@@ -138,7 +138,7 @@ class LockstepSweep(AgentProgram):
         }
         for state, deg in zip(states, ctx.degrees):
             if state.partition == self.mover_side:
-                state.phase_state = {"mydeg": deg, "scan_done": deg == 0}
+                state.phase_state.update(mydeg=deg, scan_done=deg == 0)
                 state.wake_round = 0
                 if deg == 0:  # no ports to sweep
                     self.finish(state)
@@ -231,30 +231,19 @@ class ButterflyCount:
 def fold_and_halve(
     graph,
     config: SimConfig,
-    tree: TreeEdgeSet,
     values: dict[int, int],
-    *,
     value_width: int,
-    timeline: Timeline | None = None,
+    timeline: Timeline,
 ) -> int:
-    """Sum per-node counts up the tree, halve at the root, push back down.
-
-    Adds phases ``total_fold`` and ``total_push`` to ``timeline`` (a fresh
-    one with default settings if None) and returns the total.
-    """
-    if timeline is None:
-        timeline = Timeline()
-    doubled, fold = convergecast(
-        graph, config, tree, values, value_width=value_width, **timeline.settings
-    )
-    timeline.add("total_fold", fold)
+    """Sum per-node counts up the agents' tree, halve at the root, push back
+    down.  Adds phases ``total_fold`` and ``total_push`` to ``timeline`` and
+    returns the total."""
+    doubled = convergecast(graph, config, values, value_width, timeline, "total_fold")
     if doubled % 2:
-        raise OddButterflySum("total_fold", [tree.root_id], f"holds the odd per-node sum {doubled}")
+        root = next(s.id for s in config.states if s.parent is None)
+        raise OddButterflySum("total_fold", [root], f"holds the odd per-node sum {doubled}")
     total = doubled // 2
-    received, push = broadcast_down(
-        graph, config, tree, total, value_width=value_width, **timeline.settings
-    )
-    timeline.add("total_push", push)
+    received = broadcast_down(graph, config, total, value_width, timeline, "total_push")
     missing = [aid for aid, got in received.items() if got != total]
     if missing:
         raise PhaseInvariantError("total_push", missing, f"did not receive the total {total}")
@@ -292,9 +281,7 @@ def count_butterflies(
     values = {s.id: per_node.get(s.id, 0) for s in config.states}
     lw = id_bits(config.lam)
     dw = max(graph.max_degree.bit_length(), 1)
-    total = fold_and_halve(
-        graph, config, election.tree, values, value_width=2 * lw + 2 * dw + 2, timeline=timeline
-    )
+    total = fold_and_halve(graph, config, values, 2 * lw + 2 * dw + 2, timeline)
 
     sweep(1, "b")
 

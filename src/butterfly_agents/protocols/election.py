@@ -99,7 +99,7 @@ class ElectionProgram(AgentProgram):
         }
         for state, deg in zip(states, ctx.degrees):
             self._departs[state.id] = meeting_word(state.id, ctx.lam)
-            state.phase_state = {"mydeg": deg, "retry": 0}
+            state.phase_state.update(mydeg=deg, retry=0)
             join_tree(state, None, 0, None)  # the root of its own one-node tree
             state.treelabel = state.id
             state.leader = False

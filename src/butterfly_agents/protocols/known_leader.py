@@ -146,7 +146,7 @@ class KnownLeaderProgram(AgentProgram):
             **aggregate_widths(ctx),
         }
         for s, deg in zip(states, ctx.degrees):
-            s.phase_state = {"mydeg": deg}
+            s.phase_state["mydeg"] = deg
             s.partition = None
             s.parent = None
             s.child = None
@@ -290,10 +290,7 @@ def deliver_aggregates(
     lw = id_bits(config.lam)
     dw = max(graph.max_degree.bit_length(), 1)
     value = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
-    received, result = broadcast_down(
-        graph, config, tree, value, value_width=3 * lw + dw + (lw + dw), **timeline.settings
-    )
-    timeline.add("downcast", result)
+    received = broadcast_down(graph, config, value, 3 * lw + dw + (lw + dw), timeline, "downcast")
     return TreeResult(root.id, tree, partition, payload, received)
 
 
@@ -312,11 +309,10 @@ def known_leader_tree(
     """
     program = KnownLeaderProgram(leader_id)
     timeline = Timeline(max_rounds, record_trace)
-    result = run(graph, config, program, **timeline.settings)
-    timeline.add("assignment", result)
+    timeline.add("assignment", run(graph, config, program, **timeline.settings))
     assignment = program.last_assigned_round + 1
     timeline.rounds_per_phase["assignment"] = assignment
-    timeline.rounds_per_phase["aggregation"] = result.rounds - assignment
+    timeline.rounds_per_phase["aggregation"] = timeline.rounds - assignment  # its only phase yet
 
     leader_state = next(s for s in config.states if s.id == leader_id)
     res = deliver_aggregates(graph, config, leader_state, timeline)

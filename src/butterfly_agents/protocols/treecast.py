@@ -1,9 +1,9 @@
 """Tree-shaped data movement: convergecast up, broadcast down.
 
-Both operations assume a valid rooted spanning tree described by per-agent
-parent ports, with every agent standing at home.  Movement runs in
-two-round waves (even round: depart, odd round: communicate and return),
-the same rhythm the tree-building protocols use.
+Both waves run on the rooted spanning tree the agents hold: each agent's
+``parent`` port, None for the root, with every agent at home.  Movement
+runs in two-round waves (even round: depart, odd round: communicate and
+return), the same rhythm the tree-building protocols use.
 
 Convergecast: an agent whose children have all reported carries its
 subtree sum to its parent's node; the root holds the full sum after at
@@ -24,9 +24,9 @@ from ..runtime import (
     AgentProgram,
     AgentState,
     RunContext,
-    RunResult,
     SimConfig,
     StepView,
+    Timeline,
     run,
 )
 
@@ -44,8 +44,8 @@ __all__ = [
 class TreeEdgeSet:
     """A rooted spanning tree, agent-eye view.
 
-    ``parent_port[a]`` is the port at agent ``a``'s home node leading to
-    its parent's node; None exactly for the root.  ``home_node`` maps agent
+    ``parent_port`` maps each agent to the port at its home node leading
+    to its parent's node; None exactly for the root.  ``home_node`` maps agent
     ids to node indices so centralized checks can translate to graph terms.
     """
 
@@ -82,23 +82,19 @@ def tree_from_states(states: list[AgentState]) -> TreeEdgeSet:
 
 
 class ConvergecastProgram(AgentProgram):
-    """Sum per-agent values up a tree into its root.
+    """Sum per-agent values up the agents' tree into its root.
 
-    The sums stay in the agents' scratch after the run (the root's ``acc``
-    is the answer); the next phase starts without them.
+    ``kids_count`` (agent id -> number of tree children) is an input, like
+    ``values``: the caller derives it from the agents' parent ports with
+    ``tree_from_states(states).children_map(graph)``.  The sums stay in the
+    agents' scratch after the run (the root's ``acc`` is the answer); the
+    next phase starts without them.
     """
 
     name = "convergecast"
     published = frozenset(("acc",))
 
-    def __init__(
-        self,
-        tree: TreeEdgeSet,
-        kids_count: dict[int, int],
-        values: dict[int, int],
-        value_width: int,
-    ):
-        self.tree = tree
+    def __init__(self, kids_count: dict[int, int], values: dict[int, int], value_width: int):
         self.kids_count = kids_count
         self.values = values
         self.scratch_widths = {
@@ -132,15 +128,14 @@ class ConvergecastProgram(AgentProgram):
         for visitor in view.colocated:
             ps["acc"] += visitor.scratch["acc"]
             ps["kids_left"] -= 1
-        parent = self.tree.parent_port[state.id]
-        if ps["kids_left"] or ps["reported"] or parent is None:
+        if ps["kids_left"] or ps["reported"] or state.parent is None:
             state.wake_round = NEVER
             return None
-        return parent if view.round % 2 == 0 else None  # odd: depart next round
+        return state.parent if view.round % 2 == 0 else None  # odd: depart next round
 
     def local_done(self, state: AgentState) -> bool:
         ps = state.phase_state
-        if self.tree.parent_port[state.id] is None:
+        if state.parent is None:
             return ps["kids_left"] == 0
         return bool(ps["reported"]) and state.current_node == state.home_node
 
@@ -148,18 +143,20 @@ class ConvergecastProgram(AgentProgram):
 def convergecast(
     graph,
     config: SimConfig,
-    tree: TreeEdgeSet,
     values: dict[int, int],
     value_width: int,
-    max_rounds: int | None = None,
-    record_trace: bool = False,
-) -> tuple[int, RunResult]:
-    """Run a convergecast; returns (root sum, engine result)."""
+    timeline: Timeline,
+    phase: str,
+) -> int:
+    """Add a convergecast of ``values`` to ``timeline`` as ``phase``; returns
+    the root's sum.  Raises ValueError, before any round, unless the agents
+    hold exactly one root."""
+    tree = tree_from_states(config.states)
     kids = {a: len(c) for a, c in tree.children_map(graph).items()}
-    program = ConvergecastProgram(tree, kids, values, value_width)
-    result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
+    program = ConvergecastProgram(kids, values, value_width)
+    timeline.add(phase, run(graph, config, program, **timeline.settings))
     root_state = next(s for s in config.states if s.id == tree.root_id)
-    return root_state.phase_state["acc"], result
+    return root_state.phase_state["acc"]
 
 
 class BroadcastProgram(AgentProgram):
@@ -168,14 +165,13 @@ class BroadcastProgram(AgentProgram):
     name = "broadcast-down"
     published = frozenset(("received",))
 
-    def __init__(self, tree: TreeEdgeSet, value: Any, value_width: int):
-        self.tree = tree
+    def __init__(self, value: Any, value_width: int):
         self.value = value
         self.scratch_widths = {"received": value_width}
 
     def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
         for s in states:
-            if s.id == self.tree.root_id:
+            if s.parent is None:
                 s.phase_state["received"] = self.value
                 s.wake_round = NEVER
             else:
@@ -194,7 +190,7 @@ class BroadcastProgram(AgentProgram):
         if "received" in ps:
             state.wake_round = NEVER
             return None
-        return self.tree.parent_port[state.id] if view.round % 2 == 0 else None
+        return state.parent if view.round % 2 == 0 else None
 
     def local_done(self, state: AgentState) -> bool:
         return "received" in state.phase_state and state.current_node == state.home_node
@@ -203,14 +199,15 @@ class BroadcastProgram(AgentProgram):
 def broadcast_down(
     graph,
     config: SimConfig,
-    tree: TreeEdgeSet,
     value: Any,
     value_width: int,
-    max_rounds: int | None = None,
-    record_trace: bool = False,
-) -> tuple[dict[int, Any], RunResult]:
-    """Run a broadcast; returns ({agent id: received value}, engine result)."""
-    program = BroadcastProgram(tree, value, value_width)
-    result = run(graph, config, program, max_rounds=max_rounds, record_trace=record_trace)
-    received = {s.id: s.phase_state["received"] for s in config.states}
-    return received, result
+    timeline: Timeline,
+    phase: str,
+) -> dict[int, Any]:
+    """Add a broadcast of ``value`` to ``timeline`` as ``phase``; returns
+    {agent id: received value}.  Raises ValueError, before any round, unless
+    the agents hold exactly one root."""
+    tree_from_states(config.states)
+    program = BroadcastProgram(value, value_width)
+    timeline.add(phase, run(graph, config, program, **timeline.settings))
+    return {s.id: s.phase_state["received"] for s in config.states}

@@ -13,7 +13,9 @@ Programs are state machines driven through :class:`AgentProgram`.  The
 engine never lets a program see the graph, node identifiers, or any state
 written in the current round; what an agent observes is its own state, the
 degree of the node it stands on, its port of entry, and snapshots of the
-agents standing at the same node.
+agents standing at the same node.  The tree waves hold to this too: they
+follow the parent ports the agents hold, and convergecast's child count
+is a per-agent input keyed by agent id, like its ``values``.
 
 The engine-program contract:
 

@@ -44,6 +44,7 @@ from butterfly_agents.runtime import (
     PhaseInvariantError,
     Snapshot,
     StepView,
+    Timeline,
     id_bits,
     place_dispersed,
     port_bits,
@@ -186,19 +187,19 @@ def test_traced_pipeline_keeps_one_trace():
 def test_tampered_fold_is_caught():
     g, _ = make_complete_bipartite(2, 2)
     cfg = place_dispersed(g, [4, 5, 6, 7])
-    election = elect_leader_and_tree(g, cfg)
+    elect_leader_and_tree(g, cfg)
     # per-node counts summing to an odd number cannot happen: every
     # butterfly is counted once at each of its four corners
     with pytest.raises(OddButterflySum):
-        fold_and_halve(g, cfg, election.tree, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8)
+        fold_and_halve(g, cfg, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8, timeline=Timeline())
 
 
 def test_odd_fold_names_the_phase_and_the_root():
     g, _ = make_complete_bipartite(2, 2)
     cfg = place_dispersed(g, [4, 5, 6, 7])
-    election = elect_leader_and_tree(g, cfg)
+    elect_leader_and_tree(g, cfg)
     with pytest.raises(PhaseInvariantError, match="odd per-node sum 3") as info:
-        fold_and_halve(g, cfg, election.tree, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8)
+        fold_and_halve(g, cfg, {4: 1, 5: 1, 6: 1, 7: 0}, value_width=8, timeline=Timeline())
     assert isinstance(info.value, OddButterflySum)
     assert (info.value.phase, info.value.agents) == ("total_fold", (4,))
 
@@ -206,7 +207,7 @@ def test_odd_fold_names_the_phase_and_the_root():
 def test_missed_total_broadcast_is_a_typed_failure(monkeypatch):
     g, _ = make_complete_bipartite(3, 3)
     cfg = place_dispersed(g, [4, 2, 7, 1, 5, 3])
-    election = elect_leader_and_tree(g, cfg)
+    elect_leader_and_tree(g, cfg)
     real_run = treecast.run
 
     def corrupting_run(graph, config, program, **kw):
@@ -218,7 +219,7 @@ def test_missed_total_broadcast_is_a_typed_failure(monkeypatch):
     monkeypatch.setattr(treecast, "run", corrupting_run)
     values = {s.id: 6 for s in cfg.states}
     with pytest.raises(PhaseInvariantError, match="did not receive the total 18") as info:
-        fold_and_halve(g, cfg, election.tree, values, value_width=16)
+        fold_and_halve(g, cfg, values, value_width=16, timeline=Timeline())
     assert (info.value.phase, info.value.agents) == ("total_push", (7,))
 
 

@@ -16,6 +16,7 @@ from butterfly_agents.oracle import diff_per_node
 from butterfly_agents.protocols import butterfly as butterfly_module
 from butterfly_agents.protocols import election as election_module
 from butterfly_agents.protocols.butterfly import OddButterflySum
+from butterfly_agents.protocols.treecast import tree_from_states
 from butterfly_agents.runtime import write_trace_jsonl
 
 
@@ -113,6 +114,10 @@ def test_unreadable_graph_file_is_a_config_error(tmp_path, capsys):
      "--graph and --gen are mutually exclusive"),
     (["--gen", "random", "3", "3", "1.5"],
      "bad --gen random parameters ['3', '3', '1.5']: edge_prob must be within [0, 1]"),
+    (["--gen", "random", "3", "--ids", "seq"],
+     "bad --gen random parameters ['3']: not enough values to unpack (expected 3, got 1)"),
+    (["--gen", "random", "2", "2", "0.5", "9"],
+     "bad --gen random parameters ['2', '2', '0.5', '9']: too many values to unpack (expected 3)"),
     (["--gen", "complete", "2", "2", "--ids", "list:1,x"],
      "bad --ids list: invalid literal for int() with base 10: 'x'"),
     (["--gen", "complete", "2", "2", "--ids", "bogus"],
@@ -122,7 +127,8 @@ def test_unreadable_graph_file_is_a_config_error(tmp_path, capsys):
     (["--protocol", "known-leader", "--gen", "complete", "2", "2", "--ids", "seq",
       "--leader", "7"],
      "--leader 7 is not among the agent ids"),
-], ids=["graph-and-gen", "random-prob", "ids-list", "ids-spec", "lam", "leader"])
+], ids=["graph-and-gen", "random-prob", "random-too-few", "random-too-many", "ids-list",
+        "ids-spec", "lam", "leader"])
 def test_bad_configuration_is_a_config_error(capsys, argv, message):
     assert cli.main(["run", *argv]) == 2
     out, err = capsys.readouterr()
@@ -277,9 +283,50 @@ def test_butterfly_full_verify_checks_its_election(capsys, monkeypatch, damage):
         assert "VERIFY FAIL: expected single root 0, found roots [0, 5]" in err
 
 
+def test_missed_meeting_fails_verify(capsys, monkeypatch):
+    real_run = cli.run
+
+    def lossy_run(graph, config, program, **kwargs):
+        result = real_run(graph, config, program, **kwargs)
+        program.meetings.remove(next(m for m in program.meetings if m[1] == 0))
+        return result
+
+    monkeypatch.setattr(cli, "run", lossy_run)
+    rc = cli.main(["run", "--protocol", "meeting-demo", "--gen", "path", "4", "--ids", "seq",
+                   "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "VERIFY FAIL: agent 0 never met agent 1 across port 0\n"
+    )
+
+
+def test_slow_assignment_fails_verify(capsys, monkeypatch):
+    real_tree = cli.known_leader_tree
+
+    def slow_tree(graph, config, leader, **kwargs):
+        res = real_tree(graph, config, leader, **kwargs)
+        res.report.rounds_per_phase["assignment"] = 4 * graph.node_count + 1
+        return res
+
+    monkeypatch.setattr(cli, "known_leader_tree", slow_tree)
+    rc = cli.main(["run", "--protocol", "known-leader", "--gen", "complete", "2", "2",
+                   "--ids", "seq", "--verify"])
+    assert rc == 1
+    assert capsys.readouterr().err == "VERIFY FAIL: assignment took 17 rounds, budget 16\n"
+
+
+def test_run_without_seed_draws_seed_0_ids(capsys):
+    outs = []
+    for seed in ([], [], ["--seed", "0"]):
+        assert cli.main(["run", "--gen", "complete", "3", "3", "--protocol", "election", *seed]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_broken_invariant_exits_1(capsys, monkeypatch):
-    def odd_fold(graph, config, tree, values, **kwargs):
-        raise OddButterflySum("total_fold", [tree.root_id], "holds the odd per-node sum 5")
+    def odd_fold(graph, config, values, value_width, timeline):
+        root = tree_from_states(config.states).root_id
+        raise OddButterflySum("total_fold", [root], "holds the odd per-node sum 5")
 
     monkeypatch.setattr(butterfly_module, "fold_and_halve", odd_fold)
     rc = cli.main(["run", "--gen", "complete", "2", "2", "--ids", "seq"])

@@ -680,15 +680,15 @@ def wedge_count_case():
 
 
 def broadcast_case():
-    g, cfg, tree = elected()
-    return g, cfg, BroadcastProgram(tree, 5, value_width=3)
+    g, cfg, _ = elected()
+    return g, cfg, BroadcastProgram(5, value_width=3)
 
 
 def convergecast_case():
     g, cfg, tree = elected()
     kids = {a: len(c) for a, c in tree.children_map(g).items()}
     values = {s.id: s.id for s in cfg.states}
-    return g, cfg, ConvergecastProgram(tree, kids, values, value_width=8)
+    return g, cfg, ConvergecastProgram(kids, values, value_width=8)
 
 
 def bad_port_case():
@@ -943,13 +943,11 @@ def test_timeline_settings_reach_every_phase(monkeypatch):
             assert got == knobs, name
 
     config = place_dispersed(g, ids)
-    tree = elect_leader_and_tree(g, config).tree
+    elect_leader_and_tree(g, config)
     timeline = Timeline(**knobs)
     seen.clear()
     values = {s.id: 6 for s in config.states}
-    total = butterfly_module.fold_and_halve(
-        g, config, tree, values, value_width=16, timeline=timeline
-    )
+    total = butterfly_module.fold_and_halve(g, config, values, value_width=16, timeline=timeline)
     assert total == 18
     assert list(timeline.rounds_per_phase) == ["total_fold", "total_push"]
     assert seen == [("convergecast", knobs), ("broadcast-down", knobs)]
