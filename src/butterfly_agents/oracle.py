@@ -12,23 +12,27 @@ integers:
   ones vertex priority (Wang et al., PVLDB 2019) finds each butterfly
   once, from its highest-ranked corner by (degree, index), so the cost
   follows the wedges of the graph, not the square of a side; see also
-  the wedge view of Sanei-Mehri et al., KDD 2018.
+  the wedge view of Sanei-Mehri et al., KDD 2018.  It is one pass in
+  rank order: each node's lower-ranked neighbors are lists that grow as
+  the tops go by, so no neighbor list is sorted or searched.
 * The total, checked three ways: both sides' per-node sums must agree and
   be even, and on graphs of at most 64 nodes the total must equal a
   direct four-node enumeration.  A failed self-check raises
   ``OracleMismatch``.
-* A spanning-tree checker.
+* A linear spanning-tree checker: depths breadth-first down the children
+  lists, the diameter on the way back up, and a parent cycle named by
+  following parents from the smallest node the walk missed.
 * The result checkers ``check_tree`` (a tree protocol's result) and
   ``check_butterflies`` (a counting run's, its election included), which
-  return problem lines, ``[]`` when the result is right.
+  return problem lines, ``[]`` when the result is right.  An agent the
+  partition lacks, or one the graph lacks, is a line too.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import comb
 
 from .graphs import PortGraph
@@ -65,20 +69,20 @@ def oracle_coloring(g: PortGraph) -> list[int]:
     n = g.node_count
     if n == 0:
         raise ValueError("oracle_coloring requires a non-empty graph")
+    adjacency = g.adjacency
     color = [-1] * n
     color[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for v in queue:
-            for u, _ in g.adjacency[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    nxt.append(u)
-                elif color[u] == color[v]:
-                    raise NotBipartite(f"edge ({v}, {u}) joins same-color nodes")
-        queue = nxt
-    if any(c == -1 for c in color):
+    queue = [0]  # grows while it is read: first in, first out
+    for v in queue:
+        cv = color[v]
+        for u, _ in adjacency[v]:
+            cu = color[u]
+            if cu == -1:
+                color[u] = 1 - cv
+                queue.append(u)
+            elif cu == cv:
+                raise NotBipartite(f"edge ({v}, {u}) joins same-color nodes")
+    if len(queue) != n:
         raise ValueError("oracle_coloring requires a connected graph")
     return color
 
@@ -116,7 +120,12 @@ def _pair_counts(g: PortGraph, color: list[int]) -> list[int]:
     """B(v) over every same-side pair v < w: c is the popcount of
     ``mask[v] & mask[w]``, where bit u of ``mask[x]`` is set when u is a
     neighbor of x, and C(c, 2) is added to both B(v) and B(w)."""
-    mask = [sum(1 << u for u, _ in row) for row in g.adjacency]
+    mask = []
+    for row in g.adjacency:
+        m = 0
+        for u, _ in row:
+            m |= 1 << u
+        mask.append(m)
     counts = [0] * len(mask)
     for side in (0, 1):
         nodes = [v for v, c in enumerate(color) if c == side]
@@ -137,39 +146,42 @@ def _priority_counts(g: PortGraph) -> list[int]:
     """B(v) by vertex priority (Wang et al., PVLDB 2019): nodes rank by
     (degree, index), and each butterfly is found once, from its
     highest-ranked corner u.  The mids are u's lower-ranked neighbors v;
-    the ends are the neighbors w of a mid ranked below u, a prefix of v's
-    rank-sorted neighbor list.  An end reached from c mids closes C(c, 2)
-    butterflies, added to u and to w, and each mid is on c - 1 of them per
-    end it reaches.  A node with fewer than two lower-ranked neighbors
-    tops no butterfly and is skipped."""
+    the ends are the neighbors w of a mid ranked below u.  An end reached
+    from c mids closes C(c, 2) butterflies, added to u and to w, and each
+    mid is on c - 1 of them per end it reaches.
+
+    One pass in rank order, with no sort of neighbor lists: ``low[x]``
+    lists the ranks of x's neighbors that have already been tops, and u
+    joins its neighbors' lists only after its own turn.  At u's turn
+    ``low[u]`` is its mids and ``low[v]`` a mid's ends, both ascending.
+    A node with fewer than two mids tops no butterfly."""
+    adjacency = g.adjacency
     degree = g.degrees
     order = sorted(range(len(degree)), key=degree.__getitem__)
     rank = [0] * len(order)
     for r, v in enumerate(order):
         rank[v] = r
-    # from here on a node is named by its rank: nbrs[u] holds the ranks of
-    # the neighbors of the node ranked u, ascending
-    nbrs = [sorted([rank[w] for w, _ in g.adjacency[v]]) for v in order]
+    # from here on a node is named by its rank
+    low: list[list[int]] = [[] for _ in order]
     by_rank = [0] * len(order)
-    for u, row in enumerate(nbrs):
-        cut = bisect_left(row, u)
-        if cut < 2:
-            continue
-        mids = row[:cut]
-        ends = [nbrs[v][: bisect_left(nbrs[v], u)] for v in mids]
-        flat = list(chain.from_iterable(ends))
-        if len(set(flat)) == len(flat):  # no end reached twice: no butterfly
-            continue
-        tally = Counter(flat)
-        through_u = 0
-        for w, c in tally.items():
-            if c > 1:
-                pair = c * (c - 1) // 2
-                through_u += pair
-                by_rank[w] += pair
-        by_rank[u] += through_u
-        for v, row_v in zip(mids, ends):
-            by_rank[v] += sum(map(tally.__getitem__, row_v)) - len(row_v)
+    for u, node in enumerate(order):
+        mids = low[u]
+        if len(mids) > 1:
+            ends = [low[v] for v in mids]
+            flat = list(chain.from_iterable(ends))
+            if len(set(flat)) != len(flat):  # some end reached twice
+                tally = Counter(flat)
+                through_u = 0
+                for w, c in tally.items():
+                    if c > 1:
+                        pair = c * (c - 1) // 2
+                        through_u += pair
+                        by_rank[w] += pair
+                by_rank[u] += through_u
+                for v, row_v in zip(mids, ends):
+                    by_rank[v] += sum(map(tally.__getitem__, row_v)) - len(row_v)
+        for w, _ in adjacency[node]:
+            low[rank[w]].append(u)
     return [by_rank[r] for r in rank]
 
 
@@ -210,8 +222,8 @@ def oracle_total_butterflies(g: PortGraph) -> int:
 def _checked_total(g: PortGraph, color: list[int], per_node: list[int]) -> int:
     """Half one side's sum of ``per_node`` after the self-checks, the graph
     colored ``color``; on graphs of at most 64 nodes it enumerates too."""
-    sum_a = sum(b for v, b in enumerate(per_node) if color[v] == 0)
-    sum_b = sum(b for v, b in enumerate(per_node) if color[v] == 1)
+    sum_b = sum(compress(per_node, color))
+    sum_a = sum(per_node) - sum_b
     if sum_a != sum_b:
         raise OracleMismatch(f"side sums disagree: {sum_a} vs {sum_b}")
     if sum_a % 2 != 0:
@@ -248,7 +260,9 @@ def check_spanning_tree(
     ``parent_port[v]`` is the port at node ``v`` leading to its parent, or
     None exactly for the root.  Checks edge validity, a single root, that
     following parents from every node reaches the root (acyclicity +
-    connectivity), and computes depth and diameter.
+    connectivity), and computes depth and diameter.  Linear: one
+    breadth-first pass down the children lists finds the depths, and one
+    pass back up finds the diameter.
     """
     problems: list[str] = []
     n = g.node_count
@@ -258,46 +272,54 @@ def check_spanning_tree(
     roots = [v for v, p in parent_port.items() if p is None]
     if roots != [root]:
         problems.append(f"expected single root {root}, found roots {roots}")
-    parent_of: dict[int, int] = {}
+    adjacency = g.adjacency
+    parent_of = [root] * n
+    children: list[list[int]] = [[] for _ in range(n)]
     for v, p in parent_port.items():
         if p is None:
             continue
-        if not (0 <= p < g.degree(v)):
+        if not 0 <= p < len(adjacency[v]):
             problems.append(f"node {v}: parent port {p} out of range")
             continue
-        parent_of[v] = g.adjacency[v][p][0]
+        u = adjacency[v][p][0]
+        parent_of[v] = u
+        children[u].append(v)
     if problems:
         return TreeCheck(False, tuple(problems), None, None, None)
 
-    # past the checks above, every node but the root is a key of parent_of
+    # past the checks above every node has exactly one parent but the root,
+    # so the walk down from the root meets each node it reaches once, and
+    # lists every parent before its children
     depth: dict[int, int] = {root: 0}
-    for v in range(n):
-        path = []
-        on_path = set()
-        x = v
-        while x not in depth:
-            if x in on_path:
-                problems.append(f"parent pointers cycle through node {x}")
-                return TreeCheck(False, tuple(problems), None, None, None)
-            path.append(x)
-            on_path.add(x)
+    order = [root]
+    for v in order:
+        below = depth[v] + 1
+        for c in children[v]:
+            depth[c] = below
+            order.append(c)
+    if len(order) != n:
+        # the parents of a node the walk missed never lead to the root
+        x = next(v for v in range(n) if v not in depth)
+        seen = set()
+        while x not in seen:
+            seen.add(x)
             x = parent_of[x]
-        base = depth[x]
-        for i, y in enumerate(reversed(path)):
-            depth[y] = base + i + 1
+        problems.append(f"parent pointers cycle through node {x}")
+        return TreeCheck(False, tuple(problems), None, None, None)
 
-    # depth holds every parent before its children, so in reverse each
-    # node's longest downward path is final before its parent reads it;
-    # the diameter is the best sum of a node's two deepest branches
-    down = dict.fromkeys(depth, 0)
+    # in reverse each node's longest downward path is final before its
+    # parent reads it; the diameter is the best sum of a node's two
+    # deepest branches
+    down = [0] * n
     diameter = 0
-    for v in reversed(depth):
-        if v in parent_of:
-            u = parent_of[v]
-            reach = down[v] + 1
-            diameter = max(diameter, down[u] + reach)
-            down[u] = max(down[u], reach)
-    height = max(depth.values())
+    for v in order[:0:-1]:  # every node but the root, deepest first
+        u = parent_of[v]
+        reach, best = down[v] + 1, down[u]
+        if best + reach > diameter:
+            diameter = best + reach
+        if reach > best:
+            down[u] = reach
+    height = depth[order[-1]]
     return TreeCheck(True, (), depth, height, diameter)
 
 
@@ -317,9 +339,10 @@ def diff_per_node(got: dict[int, int], want: dict[int, int]) -> list[str]:
 
 def check_tree(g: PortGraph, result, leader: int) -> list[str]:
     """Problems with a tree protocol's ``TreeResult``: leader and root must
-    be ``leader``, the parent ports a spanning tree, each side the agent's
-    oracle color relative to the root's (on an odd-cycle graph, its tree
-    depth's parity), the payload the graph's, each received tuple the
+    be ``leader``, the parent ports a spanning tree, each agent's side
+    present and the agent's oracle color relative to the root's (on an
+    odd-cycle graph, its tree depth's parity), no side for an agent the
+    graph lacks, the payload the graph's, each received tuple the
     payload's.  [] when all hold."""
     try:
         color = oracle_coloring(g)
@@ -344,13 +367,18 @@ def _check_tree(g: PortGraph, result, leader: int, color: list[int] | None) -> l
         level = dict(enumerate(color))
     else:
         level = chk.depth or {}  # a broken tree is reported above
-    if level:
-        for aid, got in sorted(result.partition.items()):
+    partition = result.partition
+    for aid in sorted(home.keys() | partition.keys()):
+        if aid not in home:
+            problems.append(f"agent {aid}: not an agent of this graph")
+        elif aid not in partition:
+            problems.append(f"agent {aid}: missing from the partition")
+        elif level:
             side = (level[home[aid]] - level[root]) % 2
-            if got != side:
-                problems.append(f"agent {aid}: partition {got}, expected {side}")
+            if partition[aid] != side:
+                problems.append(f"agent {aid}: partition {partition[aid]}, expected {side}")
     want = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
-    sides = list(result.partition.values())
+    sides = list(partition.values())
     truth = (g.node_count, sides.count(0), sides.count(1), g.max_degree, 2 * g.edge_count)
     for name, got, has in zip(("n", "count0", "count1", "max_degree", "degree_sum"), want, truth):
         if got != has:
@@ -364,9 +392,10 @@ def _check_tree(g: PortGraph, result, leader: int, color: list[int] | None) -> l
 
 def check_butterflies(g: PortGraph, result, leader: int) -> list[str]:
     """Problems with a counting run's ``ButterflyCount``: total and per-node
-    counts against the oracle, each side's sum against twice the total, and
-    ``check_tree`` on its election.  [] when all hold.  The coloring and the
-    per-node counts are computed once and shared by all three checks."""
+    counts against the oracle, no count for an agent the graph lacks, each
+    side's sum against twice the total, and ``check_tree`` on its
+    election.  [] when all hold.  The coloring and the per-node counts are
+    computed once and shared by all three checks."""
     problems = []
     color = oracle_coloring(g)
     per_node = _two_hop_counts(g, color)
@@ -374,10 +403,15 @@ def check_butterflies(g: PortGraph, result, leader: int) -> list[str]:
     if result.total != want_total:
         problems.append(f"total {result.total}, oracle says {want_total}")
     home = result.election.tree.home_node
-    got = {home[aid]: c for aid, c in result.per_node.items()}
+    got = {}
+    for aid, c in result.per_node.items():
+        if aid in home:
+            got[home[aid]] = c
+        else:
+            problems.append(f"agent {aid}: not an agent of this graph")
     problems += diff_per_node(got, dict(enumerate(per_node)))
-    part = result.election.partition
-    half = tuple(sum(c for a, c in result.per_node.items() if part[a] == s) for s in (0, 1))
+    part = result.election.partition  # check_tree names agents it lacks
+    half = tuple(sum(c for a, c in result.per_node.items() if part.get(a) == s) for s in (0, 1))
     if half != (2 * result.total, 2 * result.total):
         problems.append(f"side sums {half} != twice the total {2 * result.total}")
     return problems + _check_tree(g, result.election, leader, color)

@@ -103,6 +103,42 @@ def test_each_corruption_is_named(counted, kind):
         assert set(lines) <= set(check_tree(g, bad.election, leader))
 
 
+@pytest.fixture(scope="module")
+def k23():
+    g, _ = make_complete_bipartite(2, 3)
+    return g, count_butterflies(g, place_dispersed(g, [7, 3, 9, 5, 4]))
+
+
+def test_received_is_checked_for_the_lowest_id_agent_too(k23):
+    g, res = k23
+    el = res.election
+    bad = replace(el, received={**el.received, 3: (0, 0, 0, 0, 0)})
+    line = "agent 3: received (0, 0, 0, 0, 0), expected (5, 2, 3, 3, 12)"
+    assert check_tree(g, bad, 3) == [line]
+
+
+def test_an_agent_missing_from_the_partition_is_named(k23):
+    g, res = k23
+    el = res.election
+    partition = {a: s for a, s in el.partition.items() if a != 4}
+    bad = replace(res, election=replace(el, partition=partition))
+    assert "agent 4: missing from the partition" in check_butterflies(g, bad, 3)
+    assert "agent 4: missing from the partition" in check_tree(g, bad.election, 3)
+
+
+def test_a_count_for_a_stranger_is_named(k23):
+    g, res = k23
+    bad = replace(res, per_node={**res.per_node, 99: 0})
+    assert check_butterflies(g, bad, 3) == ["agent 99: not an agent of this graph"]
+
+
+def test_a_side_for_a_stranger_is_named(k23):
+    g, res = k23
+    el = res.election
+    bad = replace(el, partition={**el.partition, 99: 0})
+    assert "agent 99: not an agent of this graph" in check_tree(g, bad, 3)
+
+
 @st.composite
 def bipartite_instances(draw):
     """A random connected bipartite graph with 1-6 nodes per side and

@@ -283,6 +283,28 @@ def test_butterfly_full_verify_checks_its_election(capsys, monkeypatch, damage):
         assert "VERIFY FAIL: expected single root 0, found roots [0, 5]" in err
 
 
+@pytest.mark.parametrize("damage", ["stranger", "unsided"])
+def test_verify_names_agents_the_graph_or_the_partition_lacks(capsys, monkeypatch, damage):
+    count = cli.count_butterflies
+
+    def corrupted(*args, **kwargs):
+        res = count(*args, **kwargs)
+        if damage == "stranger":
+            return replace(res, per_node={**res.per_node, 99: 0})
+        el = res.election
+        partition = {a: s for a, s in el.partition.items() if a != 4}
+        return replace(res, election=replace(el, partition=partition))
+
+    monkeypatch.setattr(cli, "count_butterflies", corrupted)
+    rc = cli.main(["run", "--gen", "complete", "2", "3", "--ids", "seq", "--verify"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    if damage == "stranger":
+        assert err == "VERIFY FAIL: agent 99: not an agent of this graph\n"
+    else:
+        assert "VERIFY FAIL: agent 4: missing from the partition\n" in err
+
+
 def test_missed_meeting_fails_verify(capsys, monkeypatch):
     real_run = cli.run
 

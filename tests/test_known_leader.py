@@ -5,6 +5,7 @@ import random
 import pytest
 
 from butterfly_agents.graphs import (
+    build_port_graph,
     make_complete_bipartite,
     make_path,
     make_random_connected_bipartite,
@@ -93,6 +94,14 @@ def test_report_phases_cover_the_whole_run():
     assert set(per_phase) == {"assignment", "aggregation", "downcast"}
     assert sum(per_phase.values()) == res.report.rounds_total
     assert res.report.outputs["leader"] == 11
+
+
+def test_one_node_run_takes_only_the_aggregation_round():
+    # the lone leader is assigned before round 0 and has nothing to wait for
+    g = build_port_graph(1, [])
+    res = known_leader_tree(g, place_dispersed(g, [6]), leader_id=6)
+    assert res.report.rounds_per_phase == {"assignment": 0, "aggregation": 1, "downcast": 0}
+    assert res.received == {6: (1, 1, 0, 0, 0)}
 
 
 def test_trace_is_one_continuous_timeline():

@@ -95,6 +95,29 @@ def test_coloring_rejects_triangle():
         oracle_coloring(g)
 
 
+def five_cycle():
+    return build_port_graph(5, [(v, (v + 1) % 5) for v in range(5)])
+
+
+@pytest.mark.parametrize(
+    "make, edge",
+    [(lambda: make_clique(4), (1, 2)), (five_cycle, (2, 3))],
+    ids=["K4", "C5"],
+)
+def test_coloring_names_the_first_same_color_edge(make, edge):
+    # breadth-first from node 0: the edge named is the first one scanned
+    # whose ends already share a color
+    line = rf"^edge \({edge[0]}, {edge[1]}\) joins same-color nodes$"
+    with pytest.raises(NotBipartite, match=line):
+        oracle_coloring(make())
+
+
+def test_coloring_rejects_a_disconnected_graph():
+    with pytest.raises(ValueError, match="^oracle_coloring requires a connected graph$") as info:
+        oracle_coloring(build_port_graph(4, [(0, 1), (2, 3)]))
+    assert not isinstance(info.value, NotBipartite)
+
+
 def test_k33_counts():
     g, _ = make_complete_bipartite(3, 3)
     per = oracle_per_node_butterflies(g)
@@ -213,12 +236,14 @@ def test_per_node_matches_pair_formula_at_benchmark_scale():
     [
         (lambda: make_complete_bipartite(48, 48), "_pair_counts"),
         (lambda: make_random_connected_bipartite(512, 512, edge_prob=0.01, seed=7), "_priority_counts"),
+        (lambda: (even_cycle(18), None), "_pair_counts"),
     ],
-    ids=["K48,48", "512+512"],
+    ids=["K48,48", "512+512", "C18-tie"],
 )
 def test_two_hop_count_picks_the_cheaper_formulation(monkeypatch, make, path):
     # K48,48 has 2,256 same-side pairs against 221,184 two-hop walks; the
-    # sparse graph about 262k pairs against about 32k walks
+    # sparse graph about 262k pairs against about 32k walks; the 18-cycle
+    # 72 of each, and a tie goes to the masks
     g, _ = make()
     picked = []
     for name in ("_pair_counts", "_priority_counts"):
@@ -296,6 +321,14 @@ def test_check_butterflies_colors_and_counts_once(monkeypatch, a, b, enumeration
     assert calls == Counter(oracle_coloring=1, _two_hop_counts=1, _enumerate=enumerations)
 
 
+@pytest.mark.parametrize("b, enumerations", [(32, 1), (33, 0)], ids=["64-nodes", "65-nodes"])
+def test_total_enumerates_up_to_64_nodes(monkeypatch, b, enumerations):
+    g, _ = make_random_connected_bipartite(32, b, edge_prob=0.1, seed=3)
+    calls = count_work(monkeypatch)
+    oracle_total_butterflies(g)
+    assert calls["_enumerate"] == enumerations
+
+
 def test_public_oracles_keep_their_work(monkeypatch):
     # each public function colors on its own, and the total colors once
     # and hands that coloring to the counts and, on at most 64 nodes, to
@@ -363,6 +396,16 @@ def test_spanning_tree_checker_rejects_parent_cycle():
     ports = {0: None, 1: 1, 2: 2, 3: 1}
     check = check_spanning_tree(g, ports, root=0)
     assert not check.ok
+    assert check.problems == ("parent pointers cycle through node 1",)
+
+
+def test_spanning_tree_checker_names_the_cycle_a_branch_hangs_off():
+    # on the path 0-1-2-3, node 0 hangs off the cycle 1 -> 2 -> 1 and the
+    # root 3 has no child: following parents from node 0 repeats node 1
+    g, _ = make_path(4)
+    check = check_spanning_tree(g, {0: 0, 1: 1, 2: 0, 3: None}, root=3)
+    assert (check.ok, check.depth) == (False, None)
+    assert check.problems == ("parent pointers cycle through node 1",)
 
 
 def test_spanning_tree_checker_rejects_port_out_of_range():
