@@ -155,9 +155,7 @@ def cmd_run(args) -> int:
     settings = {"max_rounds": args.max_rounds, "record_trace": args.trace is not None}
 
     if args.protocol == "meeting-demo":
-        targets = {s.id: (0 if graph.degree(s.home_node) > 0 else None)
-                   for s in config.states}
-        program = MeetingWindowProgram(lam=config.lam, targets=targets)
+        program = MeetingWindowProgram({s.id: 0 for s in config.states})
         timeline = Timeline(**settings)
         timeline.add("meeting", run(graph, config, program, **timeline.settings))
         trace = timeline.trace
@@ -169,8 +167,6 @@ def cmd_run(args) -> int:
             at_node = {s.home_node: s.id for s in config.states}
             met = {(u, v) for _, u, v in program.meetings}
             for s in config.states:
-                if graph.degree(s.home_node) == 0:
-                    continue
                 other = at_node[graph.neighbor_via(s.home_node, 0)[0]]
                 if (s.id, other) not in met:
                     problems.append(f"agent {s.id} never met agent {other} across port 0")

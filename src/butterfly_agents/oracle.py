@@ -341,9 +341,9 @@ def check_tree(g: PortGraph, result, leader: int) -> list[str]:
     """Problems with a tree protocol's ``TreeResult``: leader and root must
     be ``leader``, the parent ports a spanning tree, each agent's side
     present and the agent's oracle color relative to the root's (on an
-    odd-cycle graph, its tree depth's parity), no side for an agent the
-    graph lacks, the payload the graph's, each received tuple the
-    payload's.  [] when all hold."""
+    odd-cycle graph, its tree depth's parity), no root, parent port or side
+    for an agent the graph lacks, the payload the graph's, each received
+    tuple the payload's.  [] when all hold."""
     try:
         color = oracle_coloring(g)
     except NotBipartite:
@@ -360,15 +360,18 @@ def _check_tree(g: PortGraph, result, leader: int, color: list[int] | None) -> l
         problems.append(f"leader {result.leader_id}, expected {leader}")
     if tree.root_id != leader:
         problems.append(f"tree root {tree.root_id}, expected {leader}")
-    root = home[tree.root_id]
-    chk = check_spanning_tree(g, tree.node_parent_ports(), root)
-    problems += chk.problems
-    if color is not None:
-        level = dict(enumerate(color))
-    else:
-        level = chk.depth or {}  # a broken tree is reported above
+    root = home.get(tree.root_id)  # None for a stranger, named below
+    level = {}
+    if root is not None:
+        ports = {home[a]: p for a, p in tree.parent_port.items() if a in home}
+        chk = check_spanning_tree(g, ports, root)
+        problems += chk.problems
+        if color is not None:
+            level = dict(enumerate(color))
+        else:
+            level = chk.depth or {}  # a broken tree is reported above
     partition = result.partition
-    for aid in sorted(home.keys() | partition.keys()):
+    for aid in sorted(home.keys() | partition.keys() | tree.parent_port.keys() | {tree.root_id}):
         if aid not in home:
             problems.append(f"agent {aid}: not an agent of this graph")
         elif aid not in partition:
@@ -377,7 +380,7 @@ def _check_tree(g: PortGraph, result, leader: int, color: list[int] | None) -> l
             side = (level[home[aid]] - level[root]) % 2
             if partition[aid] != side:
                 problems.append(f"agent {aid}: partition {partition[aid]}, expected {side}")
-    want = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
+    want = (payload.n, *payload)
     sides = list(partition.values())
     truth = (g.node_count, sides.count(0), sides.count(1), g.max_degree, 2 * g.edge_count)
     for name, got, has in zip(("n", "count0", "count1", "max_degree", "degree_sum"), want, truth):

@@ -53,10 +53,7 @@ from ..runtime import (
     Timeline,
     run,
 )
-from .known_leader import (
-    AGGREGATE_KEYS, TreeResult, absorb_aggregate, advance_port, aggregate_widths,
-    deliver_aggregates, join_tree,
-)
+from .known_leader import TreeResult, advance_port, deliver_aggregates, join_tree, tree_widths
 from .meeting import meeting_word, next_departure, window_length
 
 
@@ -70,7 +67,7 @@ class ElectionProgram(AgentProgram):
     """
 
     name = "election"
-    published = frozenset(("trip_rep", *AGGREGATE_KEYS))
+    published = frozenset(("trip_rep", "agg"))
 
     def __init__(self) -> None:
         self.scratch_widths: dict[str, int | str] = {}
@@ -87,15 +84,11 @@ class ElectionProgram(AgentProgram):
         # the cap is pure insurance against a wedged configuration.
         self._retry_cap = ctx.lam + 2
         self.scratch_widths = {
-            "mydeg": "deg",
             "trip_port": "port",
             "trip_rep": "bool",
             "trip_done": "bool",
             "retry": "id",
-            "kids": "deg",
-            "kids_done": "deg",
-            "reported": "bool",
-            **aggregate_widths(ctx),
+            **tree_widths(ctx),
         }
         for state, deg in zip(states, ctx.degrees):
             self._departs[state.id] = meeting_word(state.id, ctx.lam)
@@ -211,7 +204,7 @@ class ElectionProgram(AgentProgram):
         for s in visitors:
             if s.treelabel == state.treelabel and s.scratch.get("trip_rep"):
                 ps["kids_done"] += 1
-                absorb_aggregate(ps, s.scratch)
+                ps["agg"] = ps["agg"].absorb(s.scratch["agg"])
 
     def _visitor_step(self, state: AgentState, view: StepView) -> None:
         resident = None

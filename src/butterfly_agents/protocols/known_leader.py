@@ -16,22 +16,24 @@ per-agent port storage stays constant.
 
 Once an agent has explored every non-parent port and heard a completion
 report from each child, it carries its completion upward together with
-subtree aggregates (degree sum, per-partition node counts, maximum
-degree).  When the leader completes, it holds the graph totals and
+its subtree's totals (per-partition node counts, maximum degree, degree
+sum).  When the leader completes, it holds the graph totals and
 broadcasts them down the finished tree.
 
 The leaderless election ends the same way and shares the skeleton:
 ``join_tree`` is the one step by which an agent takes a parent, a side
-and a sibling and restarts its sweep and aggregate; the aggregate helpers
-fold the subtree totals; ``deliver_aggregates`` closes either protocol
-with that broadcast and returns the one ``TreeResult`` both entry points
-hand back, each with its own report.
+and a sibling and restarts its sweep and its ``agg`` scratch value, the
+``AggregatePayload`` a resident folds each child's report into;
+``tree_widths`` declares the scratch keys the skeleton owns;
+``deliver_aggregates`` closes either protocol with that broadcast and
+returns the one ``TreeResult`` both entry points hand back, each with its
+own report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Mapping
+from typing import NamedTuple
 
 from ..runtime import (
     NEVER,
@@ -49,56 +51,37 @@ from ..runtime import (
 from .treecast import TreeEdgeSet, broadcast_down, tree_from_states
 
 __all__ = [
-    "AGGREGATE_KEYS", "AggregatePayload", "aggregate_widths", "reset_aggregate",
-    "absorb_aggregate", "join_tree",
+    "AggregatePayload", "tree_widths", "join_tree",
     "deliver_aggregates", "TreeResult", "KnownLeaderProgram", "known_leader_tree",
 ]
 
 
-@dataclass(frozen=True)
-class AggregatePayload:
-    """Subtree totals carried alongside completion reports."""
+class AggregatePayload(NamedTuple):
+    """Subtree totals carried alongside completion reports.
 
-    degree_sum: int
+    An agent holds its subtree's totals as one scratch value, ``agg``.  The
+    value is immutable because a snapshot copies the scratch dict shallowly:
+    folding a child in builds a new value, so a snapshot taken earlier in
+    the round keeps the totals it was taken with.
+    """
+
     count0: int
     count1: int
     max_degree: int
+    degree_sum: int
 
     @property
     def n(self) -> int:
         return self.count0 + self.count1
 
-
-# The subtree aggregate lives in four scratch keys, written only here.
-AGGREGATE_KEYS = ("agg_deg", "agg_c0", "agg_c1", "agg_max")
-
-
-def aggregate_widths(ctx: RunContext) -> dict[str, int | str]:
-    """Scratch widths of the subtree aggregate an agent carries."""
-    return {
-        # degree sum of a subtree is at most n * max_degree
-        "agg_deg": ctx.id_width + max(ctx.max_degree.bit_length(), 1),
-        "agg_c0": "id",
-        "agg_c1": "id",
-        "agg_max": "deg",
-    }
-
-
-def reset_aggregate(ps: dict[str, Any], partition: int) -> None:
-    """Restart an agent's aggregate at its own node (reads ``mydeg``)."""
-    deg = ps["mydeg"]
-    ps["agg_deg"] = deg
-    ps["agg_c0"] = 1 if partition == 0 else 0
-    ps["agg_c1"] = 1 if partition == 1 else 0
-    ps["agg_max"] = deg
-
-
-def absorb_aggregate(ps: dict[str, Any], report: Mapping[str, Any]) -> None:
-    """Fold a reporting child's aggregate (its scratch snapshot) into ours."""
-    ps["agg_deg"] += report["agg_deg"]
-    ps["agg_c0"] += report["agg_c0"]
-    ps["agg_c1"] += report["agg_c1"]
-    ps["agg_max"] = max(ps["agg_max"], report["agg_max"])
+    def absorb(self, child: AggregatePayload) -> AggregatePayload:
+        """These totals with a reporting child's subtree folded in."""
+        return AggregatePayload(
+            self.count0 + child.count0,
+            self.count1 + child.count1,
+            max(self.max_degree, child.max_degree),
+            self.degree_sum + child.degree_sum,
+        )
 
 
 def advance_port(nextport: int, parent: int | None, degree: int) -> int:
@@ -108,25 +91,39 @@ def advance_port(nextport: int, parent: int | None, degree: int) -> int:
     return p if p < degree else -1
 
 
+def tree_widths(ctx: RunContext) -> dict[str, int | str]:
+    """Scratch widths of the keys ``join_tree`` and the completion reports use."""
+    dw = ctx.max_degree.bit_length()
+    return {
+        "mydeg": "deg",
+        "kids": "deg",
+        "kids_done": "deg",
+        "reported": "bool",
+        # side counts, maximum degree, and a degree sum of at most n * max_degree
+        "agg": 2 * ctx.id_width + dw + ctx.id_width + max(dw, 1),
+    }
+
+
 def join_tree(state: AgentState, parent: int | None, partition: int, sibling: int | None) -> None:
     """Attach an agent to a tree: take ``parent`` (None for a root), its
     side and its ``sibling`` port, forget its children, restart its port
     sweep and start its aggregate over at its own node (reads ``mydeg``)."""
     ps = state.phase_state
+    deg = ps["mydeg"]
     state.parent = parent
     state.partition = partition
     state.sibling = sibling
     state.child = None
-    state.nextport = advance_port(-1, parent, ps["mydeg"])
+    state.nextport = advance_port(-1, parent, deg)
     ps["kids"] = 0
     ps["kids_done"] = 0
     ps["reported"] = False
-    reset_aggregate(ps, partition)
+    ps["agg"] = AggregatePayload(1 - partition, partition, deg, deg)  # sides are 0 and 1
 
 
 class KnownLeaderProgram(AgentProgram):
     name = "known-leader-tree"
-    published = frozenset(("rep", *AGGREGATE_KEYS))
+    published = frozenset(("rep", "agg"))
 
     def __init__(self, leader_id: int):
         self.leader_id = leader_id
@@ -137,14 +134,7 @@ class KnownLeaderProgram(AgentProgram):
         ids = {s.id for s in states}
         if self.leader_id not in ids:
             raise ValueError(f"leader id {self.leader_id} is not placed")
-        self.scratch_widths = {
-            "rep": "bool",
-            "mydeg": "deg",
-            "kids": "deg",
-            "kids_done": "deg",
-            "reported": "bool",
-            **aggregate_widths(ctx),
-        }
+        self.scratch_widths = {"rep": "bool", **tree_widths(ctx)}
         for s, deg in zip(states, ctx.degrees):
             s.phase_state["mydeg"] = deg
             s.partition = None
@@ -200,7 +190,7 @@ class KnownLeaderProgram(AgentProgram):
             if visitor.at_home or not visitor.scratch.get("rep", False):
                 continue
             ps["kids_done"] += 1
-            absorb_aggregate(ps, visitor.scratch)
+            ps["agg"] = ps["agg"].absorb(visitor.scratch["agg"])
 
         if view.round % 2 == 0:
             if state.nextport != -1:
@@ -257,9 +247,9 @@ class TreeResult:
     """A finished spanning tree and the totals its root pushed down.
 
     ``partition`` maps agent ids to 0 (the root's side) or 1, and
-    ``received`` holds the (n, count0, count1, max degree, degree sum)
-    tuple each agent got.  ``report`` and ``trace`` are attached by the
-    entry point that ran the protocol.
+    ``received`` holds the ``(n, *payload)`` tuple each agent got: n,
+    count0, count1, max degree, degree sum.  ``report`` and ``trace`` are
+    attached by the entry point that ran the protocol.
     """
 
     leader_id: int
@@ -276,20 +266,19 @@ def deliver_aggregates(
 ) -> TreeResult:
     """Close a finished tree protocol and push its totals down the tree.
 
-    Reads the root's aggregate, takes the partition and the tree from the
+    Reads the root's ``agg``, takes the partition and the tree from the
     agents, and broadcasts (n, count0, count1, max degree, degree sum) to
     every agent, added to ``timeline`` as phase ``downcast``, which starts
     without the tree protocol's scratch.  The result has neither report
     nor trace.
     """
-    ps = root.phase_state
-    payload = AggregatePayload(ps["agg_deg"], ps["agg_c0"], ps["agg_c1"], ps["agg_max"])
+    payload = root.phase_state["agg"]
     partition = {s.id: s.partition for s in config.states}
     tree = tree_from_states(config.states)
 
     lw = id_bits(config.lam)
     dw = max(graph.max_degree.bit_length(), 1)
-    value = (payload.n, payload.count0, payload.count1, payload.max_degree, payload.degree_sum)
+    value = (payload.n, *payload)
     received = broadcast_down(graph, config, value, 3 * lw + dw + (lw + dw), timeline, "downcast")
     return TreeResult(root.id, tree, partition, payload, received)
 
@@ -317,12 +306,5 @@ def known_leader_tree(
     leader_state = next(s for s in config.states if s.id == leader_id)
     res = deliver_aggregates(graph, config, leader_state, timeline)
     payload = res.payload
-    report = timeline.report({
-        "leader": leader_id,
-        "n": payload.n,
-        "count0": payload.count0,
-        "count1": payload.count1,
-        "max_degree": payload.max_degree,
-        "degree_sum": payload.degree_sum,
-    })
+    report = timeline.report({"leader": leader_id, "n": payload.n, **payload._asdict()})
     return replace(res, report=report, trace=timeline.trace)

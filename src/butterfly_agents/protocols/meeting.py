@@ -158,6 +158,7 @@ class MeetingWindowProgram(AgentProgram):
     ``targets`` maps agent id to a port (or None to host).  Every agent
     with a target plays its full schedule for ``windows`` windows - no
     early stopping, so meeting times are exactly the schedule algebra's.
+    The meeting words and the window length follow the run's ``lam``.
     Meetings are recorded in ``self.meetings`` as (round, visitor id,
     resident id); a visitor records one event per visit that finds the
     resident at home.
@@ -167,19 +168,19 @@ class MeetingWindowProgram(AgentProgram):
     scratch_widths = {"target": "meet", "finished": "bool"}
     published = frozenset()
 
-    def __init__(self, lam: int, targets: dict[int, int | None], windows: int = 1):
-        self.lam = lam
+    def __init__(self, targets: dict[int, int | None], windows: int = 1):
         self.targets = dict(targets)
         self.windows = windows
-        self.window = window_length(lam)
+        self.window = 0  # window_length(lam), set by on_start
         self.meetings: list[tuple[int, int, int]] = []
         self._words: dict[int, int] = {}  # agent id -> meeting word as an int
 
     def on_start(self, states: list[AgentState], ctx: RunContext) -> None:
+        self.window = window_length(ctx.lam)
         for s in states:
             target = self.targets.get(s.id)
             if target is not None:
-                self._words[s.id] = meeting_word(s.id, self.lam)
+                self._words[s.id] = meeting_word(s.id, ctx.lam)
                 s.phase_state["target"] = target
                 s.phase_state["finished"] = False
                 s.wake_round = self._next_move(s.id, 0)

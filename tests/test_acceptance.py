@@ -91,7 +91,7 @@ def test_a1_meeting_window_exhaustive():
         a, b = rng.sample(range(lam + 1), 2)
         g, _ = make_path(2)
         cfg = place_dispersed(g, [a, b], lam=lam)
-        prog = MeetingWindowProgram(lam, {a: 0, b: 0})
+        prog = MeetingWindowProgram({a: 0, b: 0})
         run(g, cfg, prog)
         if not prog.meetings or max(m[0] for m in prog.meetings) >= window_length(lam):
             engine_ok = False
@@ -102,7 +102,7 @@ def test_a1_meeting_window_exhaustive():
     sep_ok = first_separation(u, v) == 6
     g, _ = make_path(2)
     cfg = place_dispersed(g, [2, 6], lam=15)
-    prog = MeetingWindowProgram(15, {2: 0, 6: 0})
+    prog = MeetingWindowProgram({2: 0, 6: 0})
     run(g, cfg, prog)
     visits_2_to_6 = [m for m in prog.meetings if m[1:] == (2, 6)]
     pair_ok = sep_ok and visits_2_to_6 == [(13, 2, 6)]

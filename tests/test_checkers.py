@@ -67,7 +67,7 @@ def corrupt(kind, res):
         return replace(res, election=bad), [f"agent {a}: partition {1 - side}, expected {side}"]
     if kind == "payload":
         delta = el.payload.max_degree
-        bad = replace(el, payload=replace(el.payload, max_degree=delta + 1))
+        bad = replace(el, payload=el.payload._replace(max_degree=delta + 1))
         return replace(res, election=bad), [f"payload max_degree={delta + 1}, graph has {delta}"]
     if kind == "received":
         bad = replace(el, received={**el.received, a: (0, 0, 0, 0, 0)})
@@ -137,6 +137,20 @@ def test_a_side_for_a_stranger_is_named(k23):
     el = res.election
     bad = replace(el, partition={**el.partition, 99: 0})
     assert "agent 99: not an agent of this graph" in check_tree(g, bad, 3)
+
+
+@pytest.mark.parametrize("damage,lines", [
+    (lambda tree: {"root_id": 99},
+     ["tree root 99, expected 3", "agent 99: not an agent of this graph"]),
+    (lambda tree: {"parent_port": {**tree.parent_port, 99: 0}},
+     ["agent 99: not an agent of this graph"]),
+], ids=["root", "parent_port"])
+def test_a_stranger_in_the_tree_is_named(k23, damage, lines):
+    g, res = k23
+    el = res.election
+    bad = replace(el, tree=replace(el.tree, **damage(el.tree)))
+    assert check_tree(g, bad, 3) == lines
+    assert check_butterflies(g, replace(res, election=bad), 3) == lines
 
 
 @st.composite

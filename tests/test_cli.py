@@ -283,7 +283,7 @@ def test_butterfly_full_verify_checks_its_election(capsys, monkeypatch, damage):
         assert "VERIFY FAIL: expected single root 0, found roots [0, 5]" in err
 
 
-@pytest.mark.parametrize("damage", ["stranger", "unsided"])
+@pytest.mark.parametrize("damage", ["stranger", "unsided", "stranger_root", "stranger_parent"])
 def test_verify_names_agents_the_graph_or_the_partition_lacks(capsys, monkeypatch, damage):
     count = cli.count_butterflies
 
@@ -292,6 +292,11 @@ def test_verify_names_agents_the_graph_or_the_partition_lacks(capsys, monkeypatc
         if damage == "stranger":
             return replace(res, per_node={**res.per_node, 99: 0})
         el = res.election
+        if damage == "stranger_root":
+            return replace(res, election=replace(el, tree=replace(el.tree, root_id=99)))
+        if damage == "stranger_parent":
+            ports = {**el.tree.parent_port, 99: 0}
+            return replace(res, election=replace(el, tree=replace(el.tree, parent_port=ports)))
         partition = {a: s for a, s in el.partition.items() if a != 4}
         return replace(res, election=replace(el, partition=partition))
 
@@ -299,8 +304,13 @@ def test_verify_names_agents_the_graph_or_the_partition_lacks(capsys, monkeypatc
     rc = cli.main(["run", "--gen", "complete", "2", "3", "--ids", "seq", "--verify"])
     assert rc == 1
     err = capsys.readouterr().err
-    if damage == "stranger":
+    if damage in ("stranger", "stranger_parent"):
         assert err == "VERIFY FAIL: agent 99: not an agent of this graph\n"
+    elif damage == "stranger_root":
+        assert err == (
+            "VERIFY FAIL: tree root 99, expected 0\n"
+            "VERIFY FAIL: agent 99: not an agent of this graph\n"
+        )
     else:
         assert "VERIFY FAIL: agent 4: missing from the partition\n" in err
 

@@ -25,6 +25,7 @@ from butterfly_agents.graphs import (
     make_path,
     make_random_connected_bipartite,
     save_graph,
+    unreachable_count,
     validate,
 )
 
@@ -125,6 +126,12 @@ def test_generators_reject_too_few_nodes(make):
 ], ids=["neighbor-range", "self-loop", "duplicate", "reciprocal-range", "inconsistent"])
 def test_validate_names_each_port_fault(adjacency, problem):
     assert problem in validate(PortGraph(adjacency=adjacency))
+
+
+def test_the_empty_graph_has_no_unreachable_node():
+    empty = PortGraph(())
+    assert unreachable_count(empty) == 0
+    assert validate(empty) == []
 
 
 def test_save_load_round_trip(tmp_path):

@@ -11,9 +11,15 @@ from butterfly_agents.graphs import (
     make_random_connected_bipartite,
 )
 from butterfly_agents.oracle import check_spanning_tree, oracle_coloring
-from butterfly_agents.protocols.election import elect_leader_and_tree
-from butterfly_agents.protocols.known_leader import TreeResult, join_tree, known_leader_tree
-from butterfly_agents.runtime import AgentState, place_dispersed
+from butterfly_agents.protocols.election import ElectionProgram, elect_leader_and_tree
+from butterfly_agents.protocols.known_leader import (
+    AggregatePayload,
+    KnownLeaderProgram,
+    TreeResult,
+    join_tree,
+    known_leader_tree,
+)
+from butterfly_agents.runtime import AgentState, place_dispersed, run
 
 
 def test_square_with_leader_7():
@@ -104,6 +110,20 @@ def test_one_node_run_takes_only_the_aggregation_round():
     assert res.received == {6: (1, 1, 0, 0, 0)}
 
 
+@pytest.mark.parametrize(
+    "program,peak",
+    [(lambda: KnownLeaderProgram(6), 26), (ElectionProgram, 28)],
+    ids=["known_leader", "election"],
+)
+def test_tree_widths_hold_at_max_degree_zero(program, peak):
+    # With lam = 6 (3-bit ids) and Δ = 0, the fixed fields take 14 bits and
+    # the aggregate 3 + 3 + 0 + (3 + 1): the degree sum keeps one degree bit
+    # even when Δ has none.  The program runs alone: in the entry points the
+    # downcast that follows sets a one-node run's peak.
+    g = build_port_graph(1, [])
+    assert run(g, place_dispersed(g, [6]), program()).peak_bits == {6: peak}
+
+
 def test_trace_is_one_continuous_timeline():
     g, _ = make_complete_bipartite(2, 3)
     cfg = place_dispersed(g, [1, 2, 3, 4, 5])
@@ -153,7 +173,7 @@ def test_join_tree_restarts_sweep_and_aggregate(parent, partition, degree, nextp
     s.parent, s.child, s.sibling, s.nextport = 5, 2, 1, 2
     s.phase_state = {
         "mydeg": degree, "kids": 3, "kids_done": 2, "reported": True,
-        "agg_deg": 17, "agg_c0": 4, "agg_c1": 5, "agg_max": 9, "rep": True,
+        "agg": AggregatePayload(4, 5, 9, 17), "rep": True,
     }
     join_tree(s, parent, partition, 7)
     assert (s.parent, s.partition, s.sibling, s.child, s.nextport) == (
@@ -161,7 +181,6 @@ def test_join_tree_restarts_sweep_and_aggregate(parent, partition, degree, nextp
     )
     assert s.phase_state == {
         "mydeg": degree, "kids": 0, "kids_done": 0, "reported": False,
-        "agg_deg": degree, "agg_c0": int(partition == 0), "agg_c1": int(partition == 1),
-        "agg_max": degree,
+        "agg": AggregatePayload(int(partition == 0), int(partition == 1), degree, degree),
         "rep": True,  # protocol-specific keys are the caller's to reset
     }

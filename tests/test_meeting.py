@@ -146,7 +146,7 @@ def test_engine_meetings_match_the_algebra():
     for a, b in [(2, 6), (7, 3), (0, 15), (9, 10)]:
         g, _ = make_path(2)
         cfg = place_dispersed(g, [a, b], lam=lam)
-        prog = MeetingWindowProgram(lam, {a: 0, b: 0})
+        prog = MeetingWindowProgram({a: 0, b: 0})
         run(g, cfg, prog)
         u, v = make_meeting_id(a, lam), make_meeting_id(b, lam)
         want = []
@@ -163,7 +163,7 @@ def test_engine_one_sided_worked_pair():
     # word lands a visit (slots 1, 4, 6, 7 = odd rounds 3, 9, 13, 15)
     g, _ = make_path(2)
     cfg = place_dispersed(g, [2, 6], lam=15)
-    prog = MeetingWindowProgram(15, {2: 0})
+    prog = MeetingWindowProgram({2: 0})
     run(g, cfg, prog)
     assert prog.meetings == [(3, 2, 6), (9, 2, 6), (13, 2, 6), (15, 2, 6)]
     # the separation slot is the first visit that mutual motion would

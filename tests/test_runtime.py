@@ -599,6 +599,20 @@ def test_election_errand_cap_names_the_agent():
     assert str(err) == "agent 9: errand to port 0 unresolved for 12 windows"
 
 
+def test_election_errand_below_the_cap_is_kept():
+    g, _ = make_path(2)
+    cfg = place_dispersed(g, [4, 9])
+    program = ElectionProgram()
+    program.on_start(cfg.states, RunContext(lam=9, id_width=4, max_degree=1, degrees=(1, 1)))
+    state = cfg.states[1]
+    state.phase_state.update(trip_port=0, trip_rep=False, trip_done=False, retry=10)
+    view = StepView(round=3 * program._wlen, at_home=True, entered_port=None, degree_here=1,
+                    colocated=())
+    program.step(state, view)  # the cap is lam + 2 = 11: no raise
+    ps = state.phase_state
+    assert (ps["retry"], ps["trip_port"], ps["trip_rep"], ps["trip_done"]) == (11, 0, False, False)
+
+
 def test_simultaneous_moves_swap_without_meeting():
     g, _ = make_path(2)
     cfg = place_dispersed(g, [0, 1])
@@ -630,7 +644,7 @@ def test_runs_are_deterministic():
 
     def one_run():
         cfg = place_dispersed(g, [7, 3, 9, 5], lam=15)
-        prog = MeetingWindowProgram(15, targets)
+        prog = MeetingWindowProgram(targets)
         res = run(g, cfg, prog, record_trace=True)
         return res.trace, res.rounds, dict(res.peak_bits), prog.meetings
 
@@ -644,7 +658,7 @@ def test_runs_are_deterministic():
 def meeting_window_case():
     g, _ = make_complete_bipartite(2, 2)
     targets = {7: 0, 3: 0, 9: 0, 5: 0}
-    return g, place_dispersed(g, [7, 3, 9, 5], lam=15), MeetingWindowProgram(15, targets)
+    return g, place_dispersed(g, [7, 3, 9, 5], lam=15), MeetingWindowProgram(targets)
 
 
 def small_bipartite():
@@ -990,10 +1004,10 @@ def audit_instance(name):
     return g, [9, 2, 12, 5, 0, 7, 3]
 
 
-def meeting_program(ids, lam):
+def meeting_program(ids):
     """Every other agent plays two windows toward port 0; the rest host."""
     targets = {aid: 0 if k % 2 == 0 else None for k, aid in enumerate(ids)}
-    return MeetingWindowProgram(lam, targets, windows=2)
+    return MeetingWindowProgram(targets, windows=2)
 
 
 @pytest.mark.parametrize("instance", ["A8", "K34"])
@@ -1009,7 +1023,7 @@ def test_dirty_marks_are_exact(instance, monkeypatch):
     butterfly_module.count_butterflies(g, place_dispersed(g, ids))
     known_leader_tree(g, place_dispersed(g, ids), leader_id=ids[3])
     cfg = place_dispersed(g, ids)
-    audit(g, cfg, meeting_program(ids, cfg.lam))
+    audit(g, cfg, meeting_program(ids))
     assert audit.wrong_marks == []
     stepped = {name for name, _ in audit.steps}
     assert stepped == {
@@ -1031,7 +1045,7 @@ def test_dirty_gated_peaks_match_a_full_recount_beyond_the_pipeline(instance, mo
         monkeypatch.setattr(module, "run", check)
     known_leader_tree(g, place_dispersed(g, ids), leader_id=min(ids))
     cfg = place_dispersed(g, ids)
-    check(g, cfg, meeting_program(ids, cfg.lam))
+    check(g, cfg, meeting_program(ids))
     assert check.phases == ["known-leader-tree", "broadcast-down", "meeting-window"]
 
 
@@ -1169,7 +1183,7 @@ def test_programs_read_only_what_they_publish(instance, monkeypatch):
     butterfly_module.count_butterflies(g, place_dispersed(g, ids))
     known_leader_tree(g, place_dispersed(g, ids), leader_id=ids[3])
     cfg = place_dispersed(g, ids)
-    audit(g, cfg, meeting_program(ids, cfg.lam))
+    audit(g, cfg, meeting_program(ids))
     assert set(audit.published) == {
         "election", "broadcast-down", "neighbor-scan", "wedge-count",
         "convergecast", "known-leader-tree", "meeting-window",
