@@ -7,6 +7,7 @@ import json
 import os
 import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -177,26 +178,41 @@ def test_unwritable_output_is_a_config_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("flag", ["--trace", "--report"])
-@pytest.mark.parametrize("target, code", [("missing/out", errno.ENOENT), ("", errno.EISDIR)],
-                         ids=["missing-directory", "a-directory"])
+@pytest.mark.parametrize(
+    "target, code",
+    [
+        ("missing/out", errno.ENOENT),
+        ("", errno.EISDIR),
+        ("afile/out", errno.ENOTDIR),
+        ("x" * 300, errno.ENAMETOOLONG),
+    ],
+    ids=["missing-directory", "a-directory", "a-file-as-directory", "name-too-long"],
+)
 def test_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch, flag, target, code):
     def never(*args, **kwargs):
         raise AssertionError("the pipeline ran")
 
     monkeypatch.setattr(cli, "count_butterflies", never)
+    (tmp_path / "afile").touch()
     path = str(tmp_path / target)
     assert cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", flag, path]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {path}: {os.strerror(code)}\n")
 
 
-def test_failed_write_names_the_output(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("output", ["trace", "sweep-out"])
+def test_failed_write_names_the_output(tmp_path, capsys, monkeypatch, output):
     # an error raised by a write, not an open, carries no file name
-    def full(path, trace):
+    def full(*args):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(cli, "write_trace_jsonl", full)
-    path = str(tmp_path / "t.jsonl")
-    assert cli.main(["run", "--gen", "complete", "3", "3", "--ids", "seq", "--trace", path]) == 2
+    path = str(tmp_path / "out")
+    if output == "trace":
+        monkeypatch.setattr(cli, "write_trace_jsonl", full)
+        argv = ["run", "--gen", "complete", "3", "3", "--ids", "seq", "--trace", path]
+    else:
+        monkeypatch.setattr(cli.csv, "writer", lambda out: SimpleNamespace(writerow=full))
+        argv = ["sweep", "--sizes", "2x2", "--out", path]
+    assert cli.main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: cannot write {path}: {os.strerror(errno.ENOSPC)}\n"

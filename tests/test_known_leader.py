@@ -6,6 +6,7 @@ import pytest
 
 from butterfly_agents.graphs import (
     build_port_graph,
+    make_clique,
     make_complete_bipartite,
     make_path,
     make_random_connected_bipartite,
@@ -19,6 +20,7 @@ from butterfly_agents.protocols.known_leader import (
     join_tree,
     known_leader_tree,
 )
+from butterfly_agents.protocols.treecast import tree_from_states
 from butterfly_agents.runtime import AgentState, place_dispersed, run
 
 
@@ -156,6 +158,55 @@ def test_both_tree_protocols_end_in_one_result(make):
     assert known.partition == elected.partition
     assert known.payload == elected.payload
     assert known.received == elected.received
+
+
+def chain_graphs():
+    """Seeded random connected bipartite graphs with 1-25 nodes per side,
+    small complete bipartite graphs, paths and cliques."""
+    rng = random.Random(2024)
+    graphs = [
+        make_random_connected_bipartite(
+            rng.randint(1, 25), rng.randint(1, 25), rng.random() * 0.4, seed=rng.randrange(2**31)
+        )[0]
+        for _ in range(28)
+    ]
+    graphs += [make_complete_bipartite(a, b)[0] for a, b in ((1, 1), (1, 5), (2, 3), (4, 4))]
+    graphs += [make_path(k)[0] for k in (2, 3, 7, 16)]
+    graphs += [make_clique(k) for k in (2, 3, 5, 8)]
+    return graphs
+
+
+def first_broken_chain(graph, states):
+    """The first agent whose ``child`` port, followed at its node by each
+    child's ``sibling`` port, does not list exactly its tree children (by
+    parent ports), with what the chain listed; None when every chain does."""
+    by_node = {s.home_node: s for s in states}
+    children = tree_from_states(states).children_map(graph)
+    for p in sorted(states, key=lambda s: s.id):
+        v, port, listed = p.home_node, p.child, []
+        while port is not None and len(listed) <= graph.degrees[v]:
+            kid = by_node[graph.neighbor_via(v, port)[0]]
+            listed.append(kid.id)
+            port = kid.sibling
+        if len(set(listed)) != len(listed) or sorted(listed) != sorted(children[p.id]):
+            return p.id, listed, sorted(children[p.id])
+    return None
+
+
+@pytest.mark.parametrize("protocol", ["known_leader", "election"])
+def test_child_and_sibling_ports_chain_each_agents_children(protocol):
+    # the agents keep their children lists in constant state: a node's
+    # children are threaded through its child port and their sibling ports
+    rng = random.Random(7)
+    for k, g in enumerate(chain_graphs()):
+        n = g.node_count
+        ids = rng.sample(range(2 * n), n)
+        cfg = place_dispersed(g, ids)
+        if protocol == "known_leader":
+            known_leader_tree(g, cfg, leader_id=rng.choice(ids))
+        else:
+            elect_leader_and_tree(g, cfg)
+        assert first_broken_chain(g, cfg.states) is None, (k, n)
 
 
 @pytest.mark.parametrize(

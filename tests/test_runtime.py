@@ -38,6 +38,7 @@ from butterfly_agents.runtime import (
     StepView,
     Timeline,
     _degree_bits,
+    _resolve_widths,
     account_memory,
     id_bits,
     offset_trace,
@@ -1033,6 +1034,63 @@ def test_dirty_marks_are_exact(instance, monkeypatch):
     # value-only steps exist in both the election and the wedge count
     assert audit.steps["election", False] > audit.steps["election", True] > 0
     assert audit.steps["wedge-count", False] > 0
+
+
+class WidthAudit:
+    """Stands in for ``run``: after ``on_start`` and after every step,
+    checks that each live scratch key is declared and that each int value
+    (bools included; tuples are skipped) fits its declared width."""
+
+    def __init__(self):
+        self.checked = set()  # program names
+        self.problems = []  # (program name, round or None at start, agent id, key, value)
+
+    def __call__(self, graph, config, program, **kwargs):
+        on_start, step = program.on_start, program.step
+        widths = {}
+
+        def check(state, rnd):
+            for key, value in state.phase_state.items():
+                width = widths.get(key)
+                if width is None or isinstance(value, int) and value.bit_length() > width:
+                    self.problems.append((program.name, rnd, state.id, key, value))
+
+        def audited_on_start(states, ctx):
+            on_start(states, ctx)
+            # resolved after on_start, where programs may pin exact widths
+            widths.update(
+                _resolve_widths(config.lam, graph.max_degree, program.scratch_widths).scratch
+            )
+            for state in states:
+                check(state, None)
+
+        def audited_step(state, view):
+            port = step(state, view)
+            check(state, view.round)
+            return port
+
+        program.on_start, program.step = audited_on_start, audited_step
+        self.checked.add(program.name)
+        return run(graph, config, program, **kwargs)
+
+
+@pytest.mark.parametrize("instance", ["A8", "K34"])
+def test_live_scratch_is_declared_and_fits_its_width(instance, monkeypatch):
+    """The engine charges nothing for a live key no program declared and
+    trusts the declared width of the rest, so every program must declare
+    each key it keeps live and keep each value within its width."""
+    g, ids = audit_instance(instance)
+    audit = WidthAudit()
+    for module in AUDITED_MODULES:
+        monkeypatch.setattr(module, "run", audit)
+    butterfly_module.count_butterflies(g, place_dispersed(g, ids))
+    known_leader_tree(g, place_dispersed(g, ids), leader_id=ids[3])
+    audit(g, place_dispersed(g, ids), meeting_program(ids))
+    assert audit.problems == []
+    assert audit.checked == {
+        "election", "broadcast-down", "neighbor-scan", "wedge-count",
+        "convergecast", "known-leader-tree", "meeting-window",
+    }
 
 
 @pytest.mark.parametrize("instance", ["A8", "K34"])
